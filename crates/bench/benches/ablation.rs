@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices `DESIGN.md` calls out — every
-//! measured point a registry spec with one knob turned.
+//! Ablation benches for three design choices — every measured point a
+//! registry spec with one knob turned.
 //!
 //! * `delta_sweep` — the δ/Δ separation: good-case latency of `2δ`-BB must
 //!   track the *actual* δ, not the conservative Δ (prints the series).

@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     rows.extend(scale_rows(scale_deadline));
     for r in &rows {
         eprintln!(
-            "  {:<16} {:<7} n={:<4} f={:<2} messages={:<8} latency={}{}",
+            "  {:<16} {:<8} n={:<4} f={:<2} messages={:<8} latency={}{}",
             r.family,
             r.backend,
             r.n,

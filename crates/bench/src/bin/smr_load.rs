@@ -9,7 +9,7 @@
 //!   `BENCH_smr.json` in the current directory).
 //! * `--check BASELINE` — after measuring, parse `BASELINE` and exit
 //!   nonzero if it is malformed, misses the three-configuration floor,
-//!   the leader-failover row or the async scale row, or any row records a
+//!   the leader-failover row or the scale row, or any row records a
 //!   safety/liveness or exactly-once failure. Deliberately no rate or
 //!   latency comparison: wall numbers are machine noise across CI runners.
 //! * `--quick` — CI smoke shape (fewer requests per configuration).
@@ -53,15 +53,14 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "open-loop SMR load over the serving backends: {} requests per config, {:?} gap...",
+        "open-loop SMR load over the async backend: {} requests per config, {:?} gap...",
         opts.requests, opts.gap
     );
     let rows = smr_load_rows(opts);
     for r in &rows {
         eprintln!(
-            "  {:<7} n={:<3} batch={:<3} pipeline={:<2} crashes={} acked={:<4}/{:<4} \
+            "  n={:<3} batch={:<3} pipeline={:<2} crashes={} acked={:<4}/{:<4} \
              committed={:<4} rate={:>8.1}/s p50={} p99={} retries={} audit={}",
-            r.backend,
             r.n,
             r.batch,
             r.pipeline,

@@ -1,40 +1,39 @@
-//! Multi-backend conformance: every registered scenario family, one spec,
-//! four execution backends, the same committed value.
+//! Wall-clock conformance: every registered scenario family, one spec,
+//! the simulator against the async backend at two worker counts, the
+//! same committed value.
 //!
 //! The paper's claims are about *real* good-case latency, so the workspace
 //! keeps its execution targets honest against each other:
 //!
 //! * the deterministic **simulator** (exact δ/Δ, the source of every
-//!   measured number),
-//! * `gcl_net`'s **thread** runtime (`NetBackend` — wall clocks, real
-//!   concurrency, in-memory `Arc` message passing),
-//! * `gcl_net`'s **socket** runtime (`SocketBackend` — the same wall-clock
-//!   discipline, but every message encoded to bytes, carried across a
-//!   Unix-domain socket, and decoded on the far side), and
-//! * `gcl_net`'s **async** runtime (`AsyncBackend` — the socket transport
-//!   contract, but every party a state machine behind a nonblocking
-//!   socket, all n multiplexed over a fixed readiness-loop worker pool).
+//!   measured number), and
+//! * `gcl_net`'s **async** runtime (`AsyncBackend` — wall clocks, every
+//!   message encoded to bytes, carried across a Unix-domain socket and
+//!   decoded on the far side, every party a state machine behind a
+//!   nonblocking socket), run on one worker thread and on its default
+//!   `min(cores, 8)` pool, so both single-thread and multi-thread
+//!   scheduling of the same parties are covered.
 //!
 //! This module builds, for each registered family, a **wall-safe** variant
 //! of its canonical spec — millisecond-scale bounds so protocol timeouts
 //! (≥ 4Δ) dwarf scheduler noise, reshaped to `(4, 1)` where the family's
-//! band admits it — and runs it on every backend. On an honest-broadcaster
-//! good case the executions must agree: same committed value, agreement
-//! and full honest commitment on every wall backend. The socket column is
-//! the codec's end-to-end gate: a family whose message type does not
-//! survive `gcl_types::wire` serialization cannot pass it. The async
-//! column additionally gates the readiness loop: partial reads, timer
-//! wheel, and worker-pool scheduling must be invisible to the protocols.
+//! band admits it — and runs it on every wall configuration. On an
+//! honest-broadcaster good case the executions must agree: same committed
+//! value, agreement and full honest commitment in every column. Each
+//! column is the codec's end-to-end gate (a family whose message type
+//! does not survive `gcl_types::wire` serialization cannot pass it) and
+//! the readiness loop's: partial reads, timer wheel and worker-pool
+//! scheduling must be invisible to the protocols.
 //!
-//! The suite doubles as the regression gate for the wall runtimes' early
-//! termination: ~15 families × 3 wall backends against multi-second
+//! The suite doubles as the regression gate for the wall runtime's early
+//! termination: ~15 families × 2 configurations against multi-second
 //! deadlines complete in a few seconds *only* because honest termination
 //! exits each run early (`crates/bench/tests/net_conformance.rs` enforces
 //! a hard wall ceiling, and CI's `net-smoke` job runs it in release).
 
 use crate::registry;
-use gcl_net::{AsyncBackend, NetBackend, SocketBackend};
-use gcl_sim::{Backend, ScenarioRegistry, ScenarioSpec};
+use gcl_net::AsyncBackend;
+use gcl_sim::{ScenarioRegistry, ScenarioSpec};
 use gcl_types::{Duration as SimDuration, Value};
 use std::time::{Duration, Instant};
 
@@ -79,10 +78,11 @@ pub fn wall_spec(reg: &ScenarioRegistry, key: &str) -> ScenarioSpec {
     spec
 }
 
-/// One wall-clock backend's result for one family.
+/// One wall-clock configuration's result for one family.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
-    /// The backend's stable name (`"net"`, `"socket"`, `"async"`).
+    /// The configuration's label in [`wall_backends`] (`"async-w1"`,
+    /// `"async"`).
     pub backend: &'static str,
     /// The committed value (agreement already folded in: `None` means
     /// disagreement or nobody committed).
@@ -108,12 +108,12 @@ pub struct ConformanceCell {
     pub f: usize,
     /// The simulator's committed value — the oracle the wall runs must hit.
     pub sim_value: Option<Value>,
-    /// Each wall backend's run, in [`wall_backends`] order.
+    /// Each wall configuration's run, in [`wall_backends`] order.
     pub runs: Vec<BackendRun>,
 }
 
 impl ConformanceCell {
-    /// The conformance criterion: every wall backend upholds agreement,
+    /// The conformance criterion: every wall run upholds agreement,
     /// commits everywhere honest, and lands on exactly the simulator's
     /// value.
     pub fn holds(&self) -> bool {
@@ -139,19 +139,23 @@ impl ConformanceCell {
     }
 }
 
-/// The wall-clock backends the conformance suite compares against the
-/// simulator, with the given per-run deadline. Order is the column order
-/// of every report.
-pub fn wall_backends(deadline: Duration) -> Vec<Box<dyn Backend + Sync>> {
-    vec![
-        Box::new(NetBackend::new().deadline(deadline)),
-        Box::new(SocketBackend::new().deadline(deadline)),
-        Box::new(AsyncBackend::new().deadline(deadline)),
+/// The labelled wall-clock configurations the conformance suite compares
+/// against the simulator, with the given per-run deadline: the async
+/// backend on one worker thread (`"async-w1"`) and on its default
+/// `min(cores, 8)` pool (`"async"`). Order is the column order of every
+/// report.
+pub fn wall_backends(deadline: Duration) -> [(&'static str, AsyncBackend); 2] {
+    [
+        (
+            "async-w1",
+            AsyncBackend::new().workers(1).deadline(deadline),
+        ),
+        ("async", AsyncBackend::new().deadline(deadline)),
     ]
 }
 
 /// Runs every registered family on the simulator and on every wall
-/// backend (each wall run bounded by `deadline`) and reports the
+/// configuration (each wall run bounded by `deadline`) and reports the
 /// comparisons in registry key order.
 pub fn conformance_cells(deadline: Duration) -> Vec<ConformanceCell> {
     let reg = registry();
@@ -164,13 +168,13 @@ pub fn conformance_cells(deadline: Duration) -> Vec<ConformanceCell> {
                 .unwrap_or_else(|e| panic!("{key}: sim run rejected: {e}"));
             let runs = backends
                 .iter()
-                .map(|backend| {
+                .map(|(label, backend)| {
                     let started = Instant::now();
                     let o = reg
-                        .run_on(&spec, backend.as_ref())
-                        .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
+                        .run_on(&spec, backend)
+                        .unwrap_or_else(|e| panic!("{key}: {label} run rejected: {e}"));
                     BackendRun {
-                        backend: backend.name(),
+                        backend: label,
                         value: o.committed_value(),
                         all_committed: o.all_honest_committed(),
                         agreement: o.agreement_holds(),
@@ -219,11 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_backend_catalog_is_net_socket_then_async() {
-        let names: Vec<&str> = wall_backends(Duration::from_secs(1))
-            .iter()
-            .map(|b| b.name())
-            .collect();
-        assert_eq!(names, ["net", "socket", "async"]);
+    fn wall_backend_catalog_is_async_on_one_worker_then_the_default_pool() {
+        let [(one, single), (pool, _)] = wall_backends(Duration::from_secs(2));
+        assert_eq!([one, pool], ["async-w1", "async"]);
+        let reg = registry();
+        let o = reg.run_on(&wall_spec(reg, "brb2"), &single).unwrap();
+        let sched = o.sched_counters().expect("async reports its pool");
+        assert_eq!(sched.workers, 1, "the first column runs on one worker");
     }
 }

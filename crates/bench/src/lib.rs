@@ -23,9 +23,9 @@
 //! as wall-clock simulator throughput; set `GCL_BENCH_JSON=<path>` to get
 //! a machine-readable summary in the same schema-plus-rows format.
 //!
-//! [`conformance`] runs every registered family on *all four* execution
-//! backends — the simulator and `gcl_net`'s thread, socket and async
-//! runtimes — and compares committed values (the CI `net-smoke` gate).
+//! [`conformance`] runs every registered family on the simulator and on
+//! `gcl_net`'s async backend at one worker and at its default pool, and
+//! compares committed values (the CI `net-smoke` gate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

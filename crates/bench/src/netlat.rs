@@ -1,29 +1,28 @@
 //! The wall-clock latency trajectory: per-family good-case latencies on
-//! the wall backends, rendered as the repo-root `BENCH_net.json`.
+//! the async backend, rendered as the repo-root `BENCH_net.json`.
 //!
 //! `BENCH_sim.json` tracks simulator *throughput* per PR; this module
 //! tracks wall-clock *runtime overhead* the same way. For every registered
-//! family it runs the wall-safe conformance spec on each wall backend
-//! ([`crate::conformance::wall_backends`]: the in-memory thread engine,
-//! the socket engine, and the readiness-loop engine) and records the
-//! good-case wall latency next to the spec's injected ideal — δ' per hop,
-//! so a 2-round protocol's floor is `2δ'`. The gap between the measured
-//! column and the floor is scheduler, channel, and (for the socket/async
-//! rows) codec + syscall overhead; watching it per PR is how a runtime
+//! family it runs the wall-safe conformance spec on each wall
+//! configuration ([`crate::conformance::wall_backends`]: the async
+//! backend on one worker, labelled `async-w1`, and on its default pool,
+//! labelled `async`) and records the good-case wall latency next to the
+//! spec's injected ideal — δ' per hop, so a 2-round protocol's floor is
+//! `2δ'`. The gap between the measured column and the floor is
+//! scheduler, codec and syscall overhead; watching it per PR is how a runtime
 //! regression (a lost fast path, an accidental sleep) shows up before
 //! anyone reads a profile.
 //!
 //! v2 adds the **scale rows**: [`SCALE_FAMILIES`] × [`SCALE_NS`] on the
-//! async backend only — the thread-per-party backends cap out in the low
-//! hundreds of parties, the readiness loop multiplexes n = 1024 over a
-//! handful of workers. Scale rows (and every async row) carry the
-//! backend's [`SchedCounters`]: worker-pool size, readiness wakeups, and
-//! the peak outbound-queue depth, so a backpressure regression is visible
-//! in the trajectory diff. Row identity is now `(family, backend, n)`.
+//! default pool (`async`) — the readiness loop multiplexes n = 1024 over
+//! a handful of workers. Every row carries the backend's
+//! [`SchedCounters`]: worker-pool size, readiness wakeups, and the peak
+//! outbound-queue depth, so a backpressure regression is visible in the
+//! trajectory diff. Row identity is `(family, backend, n)`.
 //!
 //! Wall numbers are machine-dependent, so unlike the throughput gate this
 //! file's CI check ([`check_doc`]) validates *shape*, not speed: same
-//! schema, every registered family present per backend, every scale row
+//! schema, every registered family present per configuration, every scale row
 //! present, every row committed with agreement. Regeneration:
 //!
 //! ```text
@@ -40,7 +39,7 @@ use std::time::Duration;
 
 /// The `schema` field of every `BENCH_net.json` document. v2: row
 /// identity is `(family, backend, n)` (the async backend measures the
-/// same family at several scales), async rows carry scheduler counters.
+/// same family at several scales), rows carry scheduler counters.
 pub const NET_SCHEMA: &str = "gcl-bench/net-latency/v2";
 
 /// Families measured at scale on the async backend: the pure event-loop
@@ -57,8 +56,8 @@ pub const SCALE_NS: [usize; 3] = [256, 512, 1024];
 pub struct NetLatencyRow {
     /// Registered family key.
     pub family: &'static str,
-    /// Wall backend that produced the row (`"net"`, `"socket"`,
-    /// `"async"`).
+    /// Wall configuration that produced the row (a
+    /// [`wall_backends`] label: `"async-w1"` or `"async"`).
     pub backend: &'static str,
     /// Parties in the measured spec.
     pub n: usize,
@@ -73,13 +72,13 @@ pub struct NetLatencyRow {
     pub agreement: bool,
     /// Point-to-point messages delivered.
     pub messages: u64,
-    /// Worker-pool scheduler counters — `Some` on the async backend,
-    /// `None` on the thread-per-party backends.
+    /// Worker-pool scheduler counters (the outcome's
+    /// [`gcl_sim::Outcome::sched_counters`]).
     pub sched: Option<SchedCounters>,
 }
 
-/// Runs every registered family on every wall backend (each run bounded
-/// by `deadline`) and reports rows in (family, backend) order.
+/// Runs every registered family on every wall configuration (each run
+/// bounded by `deadline`) and reports rows in (family, backend) order.
 pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
     let reg = registry();
     let backends = wall_backends(deadline);
@@ -88,13 +87,13 @@ pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
             let spec = wall_spec(reg, key);
             backends
                 .iter()
-                .map(|backend| {
+                .map(|(label, backend)| {
                     let o = reg
-                        .run_on(&spec, backend.as_ref())
-                        .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
+                        .run_on(&spec, backend)
+                        .unwrap_or_else(|e| panic!("{key}: {label} run rejected: {e}"));
                     NetLatencyRow {
                         family: key,
-                        backend: backend.name(),
+                        backend: label,
                         n: spec.n,
                         f: spec.f,
                         delta_us: WALL_DELTA.as_micros(),
@@ -187,9 +186,8 @@ pub fn render_json(rows: &[NetLatencyRow]) -> String {
 
 /// Structural CI check of a `BENCH_net.json` document: parseable, right
 /// schema, one committed-with-agreement row per (registered family × wall
-/// backend), every [`SCALE_FAMILIES`] × [`SCALE_NS`] async scale row
-/// present and committed, and every async row carrying scheduler
-/// counters. Deliberately **no** latency-regression gate — wall latency
+/// configuration), every [`SCALE_FAMILIES`] × [`SCALE_NS`] async scale
+/// row present and committed, and every row carrying scheduler counters. Deliberately **no** latency-regression gate — wall latency
 /// is machine noise across CI runners; the trajectory file exists so
 /// humans (and future tooling pinned to one machine) can diff the
 /// overhead per PR.
@@ -214,15 +212,12 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing rows array")?;
     let reg = registry();
-    // Derive the required column set from the canonical backend catalog,
-    // so a wall backend added to `wall_backends` is automatically
-    // *required* here — measured-but-unchecked rows would defeat the gate.
-    let backends: Vec<&'static str> = wall_backends(Duration::from_secs(1))
-        .iter()
-        .map(|b| b.name())
-        .collect();
+    // Derive the required column set from the configuration catalog, so
+    // a configuration added to `wall_backends` is automatically *required*
+    // here — measured-but-unchecked rows would defeat the gate.
+    let backends = wall_backends(Duration::from_secs(1)).map(|(label, _)| label);
     for key in reg.keys() {
-        for backend in backends.iter().copied() {
+        for backend in backends {
             let row = rows
                 .iter()
                 .find(|r| {
@@ -246,18 +241,19 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
             row_committed(row, key, "async")?;
         }
     }
-    // Async rows must carry the worker-pool observability columns.
+    // Every row must carry the worker-pool observability columns.
     for row in rows {
-        if row.field_str("backend") != Some("async") {
-            continue;
-        }
-        let label = row.field_str("family").unwrap_or("?");
+        let label = format!(
+            "{}/{}",
+            row.field_str("family").unwrap_or("?"),
+            row.field_str("backend").unwrap_or("?")
+        );
         match row.field_u64("workers") {
             Some(w) if w >= 1 => {}
-            _ => return Err(format!("{label}/async: missing worker-pool size")),
+            _ => return Err(format!("{label}: missing worker-pool size")),
         }
         if row.field_u64("wakeups").is_none() {
-            return Err(format!("{label}/async: missing readiness-wakeup count"));
+            return Err(format!("{label}: missing readiness-wakeup count"));
         }
     }
     Ok(rows.len())
@@ -291,11 +287,11 @@ mod tests {
                 let spec = wall_spec(reg, key);
                 backends
                     .iter()
-                    .map(|b| {
-                        let o = reg.run_on(&spec, b.as_ref()).unwrap();
+                    .map(|(label, b)| {
+                        let o = reg.run_on(&spec, b).unwrap();
                         NetLatencyRow {
                             family: reg.family(key).unwrap().key(),
-                            backend: b.name(),
+                            backend: label,
                             n: spec.n,
                             f: spec.f,
                             delta_us: WALL_DELTA.as_micros(),
@@ -314,8 +310,8 @@ mod tests {
         // The partial document fails the full-catalog check (families are
         // missing), which is exactly what the check is for.
         assert!(check_doc(&doc).is_err(), "partial catalog must be rejected");
-        // Each measured row carries a latency at or above the 2-hop floor,
-        // and only the async rows carry scheduler counters.
+        // Each measured row carries a latency at or above the single-hop
+        // floor, and scheduler counters.
         for r in &rows {
             assert!(r.agreement, "{}/{}", r.family, r.backend);
             let lat = r.latency_us.expect("good case commits");
@@ -325,10 +321,9 @@ mod tests {
                 r.family,
                 r.backend
             );
-            assert_eq!(
+            assert!(
                 r.sched.is_some(),
-                r.backend == "async",
-                "{}/{}: sched counters are async-only",
+                "{}/{}: missing sched counters",
                 r.family,
                 r.backend
             );
@@ -359,9 +354,10 @@ mod tests {
     #[test]
     fn check_requires_scale_rows_and_async_counters() {
         // Synthesize a full catalog without running anything: every
-        // (family × backend) row present and committed, but no scale rows
-        // — the v2 gate must reject it.
+        // (family × configuration) row present and committed, but no
+        // scale rows — the v2 gate must reject it.
         let reg = registry();
+        let backends = wall_backends(Duration::from_secs(1)).map(|(label, _)| label);
         let catalog_row = |key: &str, backend: &str, sched: bool| {
             vec![
                 ("family", JVal::Str(key.into())),
@@ -376,8 +372,8 @@ mod tests {
         };
         let mut doc = RowsDoc::new(NET_SCHEMA);
         for key in reg.keys() {
-            for backend in ["net", "socket", "async"] {
-                doc.row(catalog_row(key, backend, backend == "async"));
+            for backend in backends {
+                doc.row(catalog_row(key, backend, true));
             }
         }
         let err = check_doc(&doc.render()).unwrap_err();
@@ -387,8 +383,8 @@ mod tests {
         // counters, the observability gate fires.
         let mut doc = RowsDoc::new(NET_SCHEMA);
         for key in reg.keys() {
-            for backend in ["net", "socket", "async"] {
-                doc.row(catalog_row(key, backend, backend == "async"));
+            for backend in backends {
+                doc.row(catalog_row(key, backend, true));
             }
         }
         for key in SCALE_FAMILIES {

@@ -21,7 +21,7 @@
 //! paper's upper bound row (`O(n/(n−f))Δ` vs the `(⌊n/(n−f)⌋ − 1)Δ` lower
 //! bound of Theorem 19).
 //!
-//! **Scope note** (documented in `DESIGN.md`): safety rests on the
+//! **Scope note**: safety rests on the
 //! unanimity-of-trusted-voters rule — honest parties never distrust each
 //! other, an honest committer keeps voting its value, so no conflicting
 //! value can ever assemble a fully-trusted vote set. Worst-case *liveness*

@@ -29,7 +29,7 @@
 //! O(capacity) regardless of run length and behavior is identical at any
 //! thread count. The caches are per-[`Verifier`] (per party instance);
 //! nothing is shared across parties, keeping [`Verifier`] `Send` for
-//! thread-per-party backends.
+//! backends that run parties on worker threads.
 //!
 //! The [`Verify`] trait abstracts over [`Pki`] (always recompute) and
 //! [`Verifier`] (amortize), so protocol helpers accept either.

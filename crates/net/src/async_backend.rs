@@ -1,13 +1,10 @@
 //! The readiness-loop execution backend: thousands of parties multiplexed
 //! over a fixed worker pool.
 //!
-//! The thread engine ([`NetBackend`](crate::NetBackend)) and the blocking
-//! socket engine ([`SocketBackend`](crate::SocketBackend)) spend 1 and 3
-//! OS threads per party respectively, which caps them at n in the low
-//! hundreds. [`AsyncBackend`] runs the *same* byte transport — every
-//! protocol message encoded, framed, carried across a socket pair and
-//! decoded on the far side — but each party is a **state machine behind a
-//! nonblocking socket**, driven by readiness events:
+//! [`AsyncBackend`] runs a real byte transport — every protocol message
+//! encoded, framed, carried across a socket pair and decoded on the far
+//! side — with each party a **state machine behind a nonblocking
+//! socket**, driven by readiness events:
 //!
 //! ```text
 //!            submissions (frames)            deliveries (frames)
@@ -19,9 +16,9 @@
 //!   socket plus a wake pipe, polled through one `mio`-style readiness
 //!   loop (the in-tree `shims/mio`; swap the workspace dependency back to
 //!   the real `mio` crate off-line and nothing here changes). It parses
-//!   submission frames, stamps them through the shared
-//!   [`DeliveryHeap`] — identical `(due, seq)` tie discipline as the
-//!   blocking dispatcher — parks protocol timers in a hashed
+//!   submission frames, stamps them through the [`DeliveryHeap`] — a
+//!   dispatcher-global `(due, seq)` tie discipline — parks protocol
+//!   timers in a hashed
 //!   [`TimerWheel`] (O(1) arming at any pending count), and drains due
 //!   deliveries into per-party outbound queues flushed as sockets accept
 //!   them.
@@ -29,9 +26,9 @@
 //!   side of an `i mod W` shard: per-party frame-reassembly buffers
 //!   ([`FrameBuffer`], partial-read safe at arbitrary byte boundaries),
 //!   per-party outbound queues ([`OutBuf`], `WouldBlock`-aware), and the
-//!   shared [`PartyCore`] bookkeeping. A party whose skew offset has not
-//!   elapsed buffers inbound bytes without handling them — the readiness
-//!   analogue of the late thread whose channel queues.
+//!   [`PartyCore`] bookkeeping. A party whose skew offset has not
+//!   elapsed buffers inbound bytes without handling them until its start
+//!   fires.
 //! * **Backpressure**: outbound bytes queued in the scheduler above a
 //!   high-water mark pause *party* reads (level-triggered interest
 //!   dropped, kernel buffers absorb, writers' queues grow) until the
@@ -40,7 +37,7 @@
 //!
 //! Total thread count is **O(workers)**, not O(n) — asserted by a test at
 //! n = 512 — which is what makes the n ∈ {256, 512, 1024} wall-clock
-//! rows in `BENCH_net.json` runnable at all. Shutdown reuses the engine
+//! rows in `BENCH_net.json` runnable at all. Shutdown is one
 //! choreography: honest-done early exit, a `Shutdown` submission plus a
 //! wake byte, `STOP` frames to every party with a bounded grace flush,
 //! and worker EOF as the fallback; every join stays finite.
@@ -51,15 +48,14 @@
 
 use crate::engine::{
     await_honest_done, delivery_frame, engine_plan, outcome_from_raw, parse_delivery,
-    parse_submission, stream_pair, ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan,
-    FrameBuffer, OutBuf, PartyCore, RawCommit, RawRun, Step, Stream, Submission, SubmissionKind,
-    IDLE_POLL, KIND_MULTICAST, KIND_STOP, KIND_TIMER, KIND_UNICAST,
+    parse_submission, ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer,
+    OutBuf, PartyCore, RawCommit, RawRun, Step, Stream, Submission, SubmissionKind, IDLE_POLL,
+    KIND_MULTICAST, KIND_STOP, KIND_TIMER, KIND_UNICAST,
 };
 use crate::wheel::TimerWheel;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use gcl_sim::{
-    Backend, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioError, ScenarioRegistry,
-    ScenarioSpec, SchedCounters, Strategy,
+    Backend, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioSpec, SchedCounters, Strategy,
 };
 use gcl_types::{Encode, PartyId};
 use mio::{Events, Interest, Poll, Registry, Token};
@@ -79,18 +75,13 @@ const OUT_HWM: usize = 4 << 20;
 /// before abandoning undeliverable peers (worker EOF is the fallback).
 const STOP_GRACE: Duration = Duration::from_millis(500);
 
-// ---------------------------------------------------------------------
-// Scheduler side: one readiness loop over all n dispatcher socket ends.
-// ---------------------------------------------------------------------
-
-/// The scheduler's view of one party's socket.
-struct Peer {
+/// One nonblocking socket end with its frame reassembly, outbound queue
+/// and poll registration — what the scheduler keeps per peer and a
+/// worker keeps per party.
+struct Conn {
     stream: Stream,
     fb: FrameBuffer,
     out: OutBuf,
-    /// Still parsing this peer's submissions (false after EOF or a
-    /// garbled frame — the party is crashed from the dispatcher's view).
-    reading: bool,
     /// Write half still usable (false after a write error).
     open: bool,
     /// Interest currently registered with the poll, `None` when
@@ -98,67 +89,109 @@ struct Peer {
     registered: Option<Interest>,
 }
 
-impl Peer {
+impl Conn {
     fn new(stream: Stream) -> Self {
-        Peer {
+        Conn {
             stream,
             fb: FrameBuffer::new(),
             out: OutBuf::new(),
-            reading: true,
             open: true,
             registered: None,
         }
     }
 
+    /// Whether output is queued and the write half still usable.
+    fn pending(&self) -> bool {
+        self.open && !self.out.is_empty()
+    }
+
+    /// Drains as much outbound as the socket accepts; a write error closes
+    /// the write half.
+    fn flush(&mut self) {
+        if self.open && self.out.flush(&mut self.stream).is_err() {
+            self.open = false;
+        }
+    }
+
+    /// Brings the registered interest in line with `want` —
+    /// level-triggered, so stale interest means busy wakeups and missing
+    /// interest means a stall.
+    fn sync(&mut self, registry: &Registry, token: Token, want: Option<Interest>) {
+        if want == self.registered {
+            return;
+        }
+        match want {
+            Some(interest) => {
+                let applied = if self.registered.is_some() {
+                    registry.reregister(&mut self.stream, token, interest)
+                } else {
+                    registry.register(&mut self.stream, token, interest)
+                };
+                if applied.is_ok() {
+                    self.registered = Some(interest);
+                }
+            }
+            None => {
+                if self.registered.take().is_some() {
+                    let _ = registry.deregister(&mut self.stream);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scheduler side: one readiness loop over all n dispatcher socket ends.
+// ---------------------------------------------------------------------
+
+/// The scheduler's view of one party's socket.
+struct Peer {
+    conn: Conn,
+    /// Still parsing this peer's submissions (false after EOF, a garbled
+    /// frame or a write error — the party is crashed from the
+    /// dispatcher's view).
+    reading: bool,
+}
+
+impl Peer {
     /// Drains as much outbound as the socket accepts; a write error marks
     /// the peer dead (its worker will see EOF).
     fn flush(&mut self) {
-        if self.out.flush(&mut self.stream).is_err() {
-            self.open = false;
+        self.conn.flush();
+        if !self.conn.open {
             self.reading = false;
         }
     }
 }
 
-/// Brings a peer's registered interest in line with what it currently
-/// wants: readable while parsing (and not paused), writable while output
-/// is pending — level-triggered, so stale interest means busy wakeups and
-/// missing interest means a stall.
-fn sync_peer_interest(registry: &Registry, peer: &mut Peer, token: Token, paused: bool) {
-    let mut want: Option<Interest> = None;
-    if peer.reading && !paused {
-        want = Some(Interest::READABLE);
-    }
-    if peer.open && !peer.out.is_empty() {
-        want = Some(match want {
-            Some(i) => i | Interest::WRITABLE,
-            None => Interest::WRITABLE,
-        });
-    }
-    if want == peer.registered {
-        return;
-    }
-    match want {
-        Some(interest) => {
-            let applied = if peer.registered.is_some() {
-                registry.reregister(&mut peer.stream, token, interest)
-            } else {
-                registry.register(&mut peer.stream, token, interest)
-            };
-            if applied.is_ok() {
-                peer.registered = Some(interest);
-            }
-        }
-        None => {
-            if peer.registered.take().is_some() {
-                let _ = registry.deregister(&mut peer.stream);
-            }
-        }
+/// What a scheduler peer wants from the poll: readable while parsing (and
+/// not paused), writable while output is pending.
+fn peer_interest(peer: &Peer, paused: bool) -> Option<Interest> {
+    match (peer.reading && !paused, peer.conn.pending()) {
+        (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
+        (true, false) => Some(Interest::READABLE),
+        (false, true) => Some(Interest::WRITABLE),
+        (false, false) => None,
     }
 }
 
-/// The scheduler thread: routes submissions through the shared delivery
-/// heap and the timer wheel, flushes due deliveries, and runs the STOP
+/// Files one submission: traffic into the delivery heap, timers onto the
+/// wheel. The shutdown marker is the caller's to act on.
+fn intake(
+    sub: Submission,
+    dh: &mut DeliveryHeap,
+    wheel: &mut TimerWheel<(PartyId, u64)>,
+    links: &[Duration],
+) {
+    match sub.kind {
+        SubmissionKind::Message(msg) => dh.route(sub.from, msg, links, Instant::now()),
+        SubmissionKind::Timer { delay, tag } => wheel.insert(delay, (sub.from, tag)),
+        SubmissionKind::Shutdown => {}
+    }
+}
+
+/// The scheduler thread: routes submissions through the delivery heap and
+/// the timer wheel, flushes due deliveries, and runs the STOP
 /// choreography on shutdown. Returns `(messages, peak_heap, wakeups,
 /// peak_outbound_bytes)`.
 fn scheduler_loop(
@@ -190,35 +223,19 @@ fn scheduler_loop(
         wheel.advance_to(epoch.elapsed(), &mut fired);
         let now = Instant::now();
         for (party, tag) in fired.drain(..) {
-            let _ = dh.route(
-                Submission {
-                    from: party,
-                    kind: SubmissionKind::Timer {
-                        delay: Duration::ZERO,
-                        tag,
-                    },
-                },
-                &links,
-                now,
-            );
+            dh.fire_timer(party, tag, now);
         }
 
-        // 2. Client submissions and the engine's shutdown marker.
+        // 2. Client submissions and the engine's shutdown marker. Client
+        //    input is untrusted: a submission for an id outside the party
+        //    set has no link row to cross and no party to reach, so it is
+        //    dropped and the run stays live.
         loop {
             match sub_rx.try_recv() {
                 Ok(sub) => match sub.kind {
                     SubmissionKind::Shutdown => stopping = true,
-                    SubmissionKind::Timer { delay, tag } => wheel.insert(delay, (sub.from, tag)),
-                    kind => {
-                        let _ = dh.route(
-                            Submission {
-                                from: sub.from,
-                                kind,
-                            },
-                            &links,
-                            Instant::now(),
-                        );
-                    }
+                    _ if sub.from.as_usize() >= n => {}
+                    _ => intake(sub, &mut dh, &mut wheel, &links),
                 },
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -233,15 +250,15 @@ fn scheduler_loop(
         if stopping && grace.is_none() {
             for peer in &mut peers {
                 peer.reading = false;
-                if peer.open {
-                    peer.out.push_frame(&[KIND_STOP]);
+                if peer.conn.open {
+                    peer.conn.out.push_frame(&[KIND_STOP]);
                 }
             }
             grace = Some(Instant::now() + STOP_GRACE);
         }
 
-        // 4. Due deliveries into per-party queues (dropped once stopping,
-        //    as the blocking dispatcher drops its heap on shutdown).
+        // 4. Due deliveries into per-party queues (the heap is dropped
+        //    once stopping).
         if !stopping {
             while let Some(s) = dh.pop_due() {
                 if s.to.as_usize() >= n {
@@ -251,8 +268,8 @@ fn scheduler_loop(
                     continue;
                 }
                 let peer = &mut peers[s.to.as_usize()];
-                if peer.open {
-                    peer.out.push_frame(&delivery_frame(&s.what));
+                if peer.conn.open {
+                    peer.conn.out.push_frame(&delivery_frame(&s.what));
                 }
             }
         }
@@ -260,11 +277,11 @@ fn scheduler_loop(
         // 5. Flush, recompute the backpressure valve, sync interests.
         let mut total_out = 0;
         for peer in &mut peers {
-            if peer.open && !peer.out.is_empty() {
+            if peer.conn.pending() {
                 peer.flush();
             }
-            if peer.open {
-                total_out += peer.out.len();
+            if peer.conn.open {
+                total_out += peer.conn.out.len();
             }
         }
         paused = if paused {
@@ -274,12 +291,13 @@ fn scheduler_loop(
         };
         let registry = poll.registry();
         for (i, peer) in peers.iter_mut().enumerate() {
-            sync_peer_interest(registry, peer, Token(i), paused);
+            let want = peer_interest(peer, paused);
+            peer.conn.sync(registry, Token(i), want);
         }
 
         // 6. Shutdown exit: everything flushed, or the grace expired.
         if let Some(g) = grace {
-            let all_flushed = peers.iter().all(|p| !p.open || p.out.is_empty());
+            let all_flushed = peers.iter().all(|p| !p.conn.pending());
             if all_flushed || Instant::now() >= g {
                 break;
             }
@@ -319,32 +337,17 @@ fn scheduler_loop(
                 continue;
             }
             let peer = &mut peers[t];
-            if ev.is_writable() && peer.open && !peer.out.is_empty() {
+            if ev.is_writable() && peer.conn.pending() {
                 peer.flush();
             }
             if ev.is_readable() && peer.reading {
-                match peer.fb.fill(&mut peer.stream, chunk) {
+                match peer.conn.fb.fill(&mut peer.conn.stream, chunk) {
                     Ok(eof) => {
-                        while let Some(body) = peer.fb.next_frame() {
+                        while let Some(body) = peer.conn.fb.next_frame() {
+                            // No wire kind parses to Shutdown; a party
+                            // cannot stop the run.
                             match parse_submission(PartyId::new(t as u32), body) {
-                                Some(sub) => match sub.kind {
-                                    SubmissionKind::Timer { delay, tag } => {
-                                        wheel.insert(delay, (sub.from, tag));
-                                    }
-                                    // No wire kind maps to Shutdown; a
-                                    // party cannot stop the run.
-                                    SubmissionKind::Shutdown => {}
-                                    kind => {
-                                        let _ = dh.route(
-                                            Submission {
-                                                from: sub.from,
-                                                kind,
-                                            },
-                                            &links,
-                                            Instant::now(),
-                                        );
-                                    }
-                                },
+                                Some(sub) => intake(sub, &mut dh, &mut wheel, &links),
                                 // Garbled frame: the party is crashed from
                                 // the dispatcher's view; keep the run live.
                                 None => {
@@ -362,7 +365,7 @@ fn scheduler_loop(
             }
         }
     }
-    let peak_out = peers.iter().map(|p| p.out.peak).max().unwrap_or(0);
+    let peak_out = peers.iter().map(|p| p.conn.out.peak).max().unwrap_or(0);
     (dh.messages, dh.peak, wakeups, peak_out)
 }
 
@@ -377,11 +380,9 @@ struct WorkerParty {
     core: PartyCore,
     strategy: Box<dyn Strategy<ErasedMsg>>,
     honest: bool,
-    stream: Stream,
-    fb: FrameBuffer,
-    out: OutBuf,
+    conn: Conn,
     /// When the skew offset elapses and `start` fires. Frames arriving
-    /// earlier buffer in `fb` unhandled — the pre-start inbox.
+    /// earlier buffer in `conn.fb` unhandled — the pre-start inbox.
     start_at: Instant,
     started: bool,
     /// The protocol called `terminate`: stop handling, keep draining and
@@ -389,21 +390,11 @@ struct WorkerParty {
     terminated: bool,
     /// Saw STOP, EOF or a dead stream — out of the readiness set.
     finished: bool,
-    /// Write half still usable.
-    open: bool,
-    registered: Option<Interest>,
 }
 
 impl WorkerParty {
-    fn flush(&mut self) {
-        if self.open && self.out.flush(&mut self.stream).is_err() {
-            self.open = false;
-        }
-    }
-
-    /// Runs one event through the shared core and encodes the effects as
-    /// submission frames — the byte-transport drain, identical to the
-    /// blocking socket party's.
+    /// Runs one event through the party core and encodes the effects as
+    /// submission frames — the byte-transport drain.
     fn step(&mut self, step: Step<ErasedMsg>, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
         if self.terminated {
             return;
@@ -416,7 +407,7 @@ impl WorkerParty {
             to.encode(&mut body);
             out_round.encode(&mut body);
             msg.encode(&mut body);
-            self.out.push_frame(&body);
+            self.conn.out.push_frame(&body);
         }
         for (skip, msg) in ctx.mcasts {
             let mut body = Vec::new();
@@ -424,14 +415,14 @@ impl WorkerParty {
             skip.encode(&mut body);
             out_round.encode(&mut body);
             msg.encode(&mut body);
-            self.out.push_frame(&body);
+            self.conn.out.push_frame(&body);
         }
         for (delay, tag) in ctx.timers {
             let mut body = Vec::new();
             body.push(KIND_TIMER);
             delay.as_micros().encode(&mut body);
             tag.encode(&mut body);
-            self.out.push_frame(&body);
+            self.conn.out.push_frame(&body);
         }
         if ctx.terminate {
             self.terminated = true;
@@ -439,14 +430,14 @@ impl WorkerParty {
                 let _ = done.send(());
             }
         }
-        self.flush();
+        self.conn.flush();
     }
 
     /// Pops and handles every complete frame in the reassembly buffer.
     /// Only called once started; a terminated party discards instead of
     /// handling (the draining state).
     fn drain(&mut self, codec: &MsgCodec, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
-        while let Some(body) = self.fb.next_frame() {
+        while let Some(body) = self.conn.fb.next_frame() {
             match parse_delivery(&body) {
                 Some(DeliveryFrame::Msg {
                     from,
@@ -481,33 +472,13 @@ impl WorkerParty {
 /// Registered interest a live party wants: always readable (pre-start
 /// bytes buffer, post-terminate bytes drain), writable while output is
 /// pending.
-fn sync_party_interest(registry: &Registry, party: &mut WorkerParty, token: Token) {
-    let want: Option<Interest> = if party.finished {
+fn party_interest(party: &WorkerParty) -> Option<Interest> {
+    if party.finished {
         None
-    } else if party.open && !party.out.is_empty() {
+    } else if party.conn.pending() {
         Some(Interest::READABLE | Interest::WRITABLE)
     } else {
         Some(Interest::READABLE)
-    };
-    if want == party.registered {
-        return;
-    }
-    match want {
-        Some(interest) => {
-            let applied = if party.registered.is_some() {
-                registry.reregister(&mut party.stream, token, interest)
-            } else {
-                registry.register(&mut party.stream, token, interest)
-            };
-            if applied.is_ok() {
-                party.registered = Some(interest);
-            }
-        }
-        None => {
-            if party.registered.take().is_some() {
-                let _ = registry.deregister(&mut party.stream);
-            }
-        }
     }
 }
 
@@ -539,7 +510,8 @@ fn worker_loop(
         }
         let registry = poll.registry();
         for (local, party) in parties.iter_mut().enumerate() {
-            sync_party_interest(registry, party, Token(local));
+            let want = party_interest(party);
+            party.conn.sync(registry, Token(local), want);
         }
         live = parties.iter().filter(|p| !p.finished).count();
         if live == 0 {
@@ -565,10 +537,10 @@ fn worker_loop(
                 continue;
             }
             if ev.is_writable() {
-                party.flush();
+                party.conn.flush();
             }
             if ev.is_readable() {
-                match party.fb.fill(&mut party.stream, chunk) {
+                match party.conn.fb.fill(&mut party.conn.stream, chunk) {
                     Ok(eof) => {
                         if party.started {
                             party.drain(&codec, &commits, &done);
@@ -583,7 +555,7 @@ fn worker_loop(
         }
     }
 
-    let peak_out = parties.iter().map(|p| p.out.peak).max().unwrap_or(0);
+    let peak_out = parties.iter().map(|p| p.conn.out.peak).max().unwrap_or(0);
     let results = parties
         .into_iter()
         .map(|p| (p.global, p.terminated, p.core.handled))
@@ -621,13 +593,13 @@ pub(crate) fn run_async_slots(
     let mut sched_ends = Vec::with_capacity(n);
     let mut party_ends = Vec::with_capacity(n);
     for _ in 0..n {
-        let (s, p) = stream_pair().expect("socket pair");
+        let (s, p) = Stream::pair().expect("socket pair");
         s.set_nonblocking(true).expect("nonblocking");
         p.set_nonblocking(true).expect("nonblocking");
         sched_ends.push(s);
         party_ends.push(p);
     }
-    let (wake_r, wake_w) = stream_pair().expect("wake pipe");
+    let (wake_r, wake_w) = Stream::pair().expect("wake pipe");
     wake_r.set_nonblocking(true).expect("nonblocking");
     wake_w.set_nonblocking(true).expect("nonblocking");
     let wake_w = Arc::new(wake_w);
@@ -637,14 +609,20 @@ pub(crate) fn run_async_slots(
     let (client_tx, client_rx) = unbounded::<Vec<u8>>();
     let shutdown_tx = sub_tx.clone();
     let driver_handle = driver.map(|driver| {
-        let handle = ClientHandle::new(sub_tx.clone(), client_rx, Some(Arc::clone(&wake_w)));
+        let handle = ClientHandle::new(sub_tx.clone(), client_rx, Arc::clone(&wake_w));
         thread::spawn(move || driver(handle))
     });
     drop(sub_tx);
 
     let links = plan.links.clone();
     let scheduler = thread::spawn(move || {
-        let peers = sched_ends.into_iter().map(Peer::new).collect();
+        let peers = sched_ends
+            .into_iter()
+            .map(|stream| Peer {
+                conn: Conn::new(stream),
+                reading: true,
+            })
+            .collect();
         scheduler_loop(peers, wake_r, sub_rx, client_tx, links, epoch, chunk)
     });
 
@@ -658,15 +636,11 @@ pub(crate) fn run_async_slots(
             core: PartyCore::new(me, plan.config, epoch, start_at),
             strategy,
             honest: is_honest,
-            stream,
-            fb: FrameBuffer::new(),
-            out: OutBuf::new(),
+            conn: Conn::new(stream),
             start_at,
             started: false,
             terminated: false,
             finished: false,
-            open: true,
-            registered: None,
         });
     }
     let worker_handles: Vec<_> = shards
@@ -679,7 +653,7 @@ pub(crate) fn run_async_slots(
         .collect();
     drop(done_tx);
 
-    // Early-exit protocol, exactly as the other wall engines.
+    // Early exit: return as soon as every honest party terminated.
     await_honest_done(&done_rx, &honest, epoch + plan.deadline);
 
     // Shutdown: a Shutdown submission plus one wake byte; the scheduler
@@ -733,22 +707,22 @@ pub(crate) fn run_async_slots(
         messages_sent,
         peak_queue,
         elapsed: epoch.elapsed(),
-        sched: Some(SchedCounters {
+        sched: SchedCounters {
             workers: w,
             wakeups,
             peak_outbound_bytes: peak_out,
-        }),
+        },
     }
 }
 
 /// Runs registry scenarios on the readiness-loop engine: every party a
 /// state machine behind a nonblocking socket, all n multiplexed over a
-/// fixed worker pool. See the [module docs](self) for the architecture;
-/// the transport contract (real bytes, no pointer fast path) is the
-/// blocking [`SocketBackend`](crate::SocketBackend)'s, the spec mapping
-/// (δ/jitter, skew, adversary mix, audits) is shared by all wall
-/// backends — so this backend differs *only* in scheduling, which is what
-/// lets it reach n = 1024 parties on a pool of `min(cores, 8)` threads.
+/// fixed worker pool. See the [module docs](self) for the architecture.
+/// Every message crosses a socket as bytes (no pointer fast path), so a
+/// committing run proves the family's messages survive the wire codec;
+/// the spec's δ/jitter, skew and adversary mix map onto links, start
+/// offsets and muted or crashing parties. Scheduling over a fixed pool is
+/// what lets it reach n = 1024 parties on `min(cores, 8)` threads.
 ///
 /// # Examples
 ///
@@ -761,7 +735,7 @@ pub(crate) fn run_async_slots(
 ///     .spec("brb2")
 ///     .unwrap()
 ///     .with_bounds(Duration::from_millis(2), Duration::from_millis(20));
-/// let outcome = AsyncBackend::new().run(&reg, &spec).unwrap();
+/// let outcome = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
 /// assert!(outcome.agreement_holds());
 /// assert_eq!(outcome.committed_value(), Some(spec.input));
 /// assert!(outcome.sched_counters().is_some(), "worker-pool observability");
@@ -806,20 +780,6 @@ impl AsyncBackend {
                 .unwrap_or(1)
                 .min(8)
         })
-    }
-
-    /// Convenience: validate and run one spec through a registry on this
-    /// backend (`registry.run_on(spec, self)`).
-    ///
-    /// # Errors
-    ///
-    /// Everything `ScenarioRegistry::validate` rejects.
-    pub fn run(
-        &self,
-        registry: &ScenarioRegistry,
-        spec: &ScenarioSpec,
-    ) -> Result<Outcome, ScenarioError> {
-        registry.run_on(spec, self)
     }
 
     /// Like [`Backend::execute`], but with an external client: `driver`
@@ -874,8 +834,8 @@ mod tests {
     use gcl_sim::{AdversaryMix, Context, DelayChoice, SkewChoice};
     use gcl_types::{Duration as SimDuration, Value};
 
-    /// Wall-safe bounds, as in the other wall backends' suites: δ' = 2 ms
-    /// links, Δ' = 20 ms timers.
+    /// Wall-safe bounds: δ' = 2 ms links, Δ' = 20 ms timers — protocol
+    /// timeouts (≥ 4Δ) then dwarf thread-scheduling noise.
     fn brb_spec() -> ScenarioSpec {
         gcl_core::registry()
             .spec("brb2")
@@ -887,7 +847,7 @@ mod tests {
     fn brb_family_runs_on_async_backend() {
         let reg = gcl_core::registry();
         let spec = brb_spec();
-        let o = AsyncBackend::new().run(&reg, &spec).unwrap();
+        let o = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
         assert!(o.agreement_holds());
         assert!(o.all_honest_committed());
         assert!(o.all_honest_terminated());
@@ -913,7 +873,7 @@ mod tests {
                 hi: SimDuration::from_millis(2),
             })
             .with_seed(5);
-        let o = AsyncBackend::new().run(&reg, &spec).unwrap();
+        let o = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
         assert!(!o.is_honest(PartyId::new(3)), "trailing slot is Byzantine");
         assert!(
             o.commit_of(PartyId::new(3)).is_none(),
@@ -928,16 +888,23 @@ mod tests {
     fn async_run_exits_early() {
         let reg = gcl_core::registry();
         let started = Instant::now();
-        let o = AsyncBackend::new()
-            .deadline(Duration::from_secs(10))
-            .run(&reg, &brb_spec())
-            .unwrap();
+        let backend = AsyncBackend::new().deadline(Duration::from_secs(10));
+        let o = reg.run_on(&brb_spec(), &backend).unwrap();
         assert!(o.all_honest_committed());
         let wall = started.elapsed();
         assert!(
             wall < Duration::from_millis(500),
             "early exit regressed: run took {wall:?} against a 10 s deadline"
         );
+    }
+
+    #[test]
+    fn inadmissible_spec_rejected_before_spawning_threads() {
+        // (4, 2) is outside brb2's resilience band: the registry must
+        // refuse it before any socket or thread exists.
+        let reg = gcl_core::registry();
+        let spec = brb_spec().with_shape(4, 2);
+        assert!(reg.run_on(&spec, &AsyncBackend::new()).is_err());
     }
 
     #[test]
@@ -948,10 +915,8 @@ mod tests {
             handled: 0,
         });
         let started = Instant::now();
-        let o = AsyncBackend::new()
-            .deadline(Duration::from_millis(200))
-            .run(&reg, &spec)
-            .unwrap();
+        let backend = AsyncBackend::new().deadline(Duration::from_millis(200));
+        let o = reg.run_on(&spec, &backend).unwrap();
         assert!(o.commits().is_empty());
         assert!(!o.all_honest_terminated());
         let wall = started.elapsed();
@@ -1054,6 +1019,39 @@ mod tests {
         assert_eq!(o.committed_value(), Some(spec.input));
     }
 
+    #[test]
+    fn client_submit_outside_the_party_set_leaves_the_run_live() {
+        // Regression: a client submission addressed to an id >= n (here
+        // the first id past a 4-party run) reached the delivery heap,
+        // whose link-row slice then panicked the scheduler. The scheduler
+        // now drops it at client intake and the broadcast commits.
+        use gcl_core::asynchrony::{Brb2Msg, TwoRoundBrb};
+        use gcl_crypto::Keychain;
+        let spec = brb_spec();
+        let cfg = spec.config().expect("valid shape");
+        let chain = Keychain::generate(spec.n, spec.seed);
+        let slots = spec.erased_slots(|p| {
+            TwoRoundBrb::new(
+                cfg,
+                chain.signer(p),
+                chain.pki(),
+                spec.broadcaster,
+                spec.input_for(p),
+            )
+        });
+        let o = AsyncBackend::new().execute_with_client(
+            &spec,
+            slots,
+            MsgCodec::of::<Brb2Msg>(),
+            move |client: ClientHandle| {
+                client.submit(PartyId::new(4), vec![1, 2, 3]);
+            },
+        );
+        assert!(o.agreement_holds());
+        assert!(o.all_honest_committed(), "the run must stay live");
+        assert_eq!(o.committed_value(), Some(spec.input));
+    }
+
     /// A party that arms one timer at start and commits when it fires —
     /// the cheapest possible protocol, for scale tests where the subject
     /// is the engine, not a protocol.
@@ -1081,8 +1079,8 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn thread_count_stays_o_workers_at_n_512() {
         // The scaling claim, asserted: 512 parties on a 4-worker pool must
-        // cost ~6 threads (scheduler + workers + the run's own thread) —
-        // not 512, let alone the blocking engines' 3 × 512.
+        // cost ~6 threads (scheduler + workers + the run's own thread),
+        // not one or more per party.
         use gcl_types::Config;
         let n = 512;
         let plan = EnginePlan {
@@ -1118,7 +1116,6 @@ mod tests {
             n,
             "every party committed"
         );
-        let sched = raw.sched.expect("counters");
-        assert_eq!(sched.workers, 4);
+        assert_eq!(raw.sched.workers, 4);
     }
 }

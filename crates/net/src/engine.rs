@@ -1,9 +1,5 @@
-//! The engine pieces every wall-clock backend shares.
-//!
-//! Three backends execute scenario specs on real clocks — the
-//! thread-per-party runtime (`runtime.rs`), the blocking socket runtime
-//! (`socket.rs`) and the readiness-loop runtime (`async_backend.rs`) —
-//! and they agree on everything except how parties are scheduled:
+//! The engine pieces of the readiness-loop backend (`async_backend.rs`)
+//! that stand apart from its scheduling:
 //!
 //! * the **spec mapping** ([`engine_plan`]): δ/jitter → the injected
 //!   per-link latency matrix, skew → per-party start offsets, plus the
@@ -14,23 +10,23 @@
 //!   step counts exactly as the simulator defines them;
 //! * the **dispatcher discipline** ([`Scheduled`], [`DeliveryHeap`]): a
 //!   min-heap ordered by `(due, seq)` with a dispatcher-global sequence
-//!   stamp, so delivery ties pop in arrival order on every backend;
-//! * the **frame protocol** (`KIND_*`, [`write_frame`], [`read_frame`],
-//!   [`FrameBuffer`], [`parse_submission`], [`parse_delivery`],
-//!   [`delivery_frame`]): `u32`-length-prefixed frames carrying encoded
-//!   submissions (party → dispatcher) and deliveries (dispatcher →
-//!   party), with a `STOP` frame closing the run — the shutdown
-//!   choreography that keeps every join finite;
+//!   stamp, so delivery ties pop in arrival order;
+//! * the **frame protocol** (`KIND_*`, [`OutBuf`], [`FrameBuffer`],
+//!   [`parse_submission`], [`parse_delivery`], [`delivery_frame`]):
+//!   `u32`-length-prefixed frames carrying encoded submissions (party →
+//!   scheduler) and deliveries (scheduler → party), with a `STOP` frame
+//!   closing the run — the shutdown choreography that keeps every join
+//!   finite;
 //! * the **audit fold** ([`outcome_from_raw`]): first-commit-per-party
 //!   into the simulator-comparable [`Outcome`].
 //!
-//! Frame reads are robust to short reads at *arbitrary* byte boundaries
-//! and to `EINTR`/`WouldBlock`: [`read_frame`] fills both the length
-//! prefix and the body incrementally (the pre-refactor socket reader
-//! handled partial reads only on the prefix), and [`FrameBuffer`] is the
-//! nonblocking analogue — it accumulates whatever bytes the socket has
-//! and yields only complete frames. Both are fuzzed one byte at a time in
-//! the tests below.
+//! Every byte a party or the client sends is untrusted: the parsers are
+//! total (a malformed frame is `None`, never a panic) and the scheduler
+//! drops client submissions addressed outside the party set.
+//! [`FrameBuffer`] accumulates whatever bytes a nonblocking socket has
+//! and yields only complete frames, so short reads at *arbitrary* byte
+//! boundaries never corrupt the stream; it is fuzzed one byte at a time
+//! in the tests below.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use gcl_sim::{
@@ -45,36 +41,16 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(not(unix))]
-pub(crate) use std::net::TcpStream as Stream;
-#[cfg(unix)]
+// The readiness loop (`mio`, in-tree shim) is Unix-only, so the transport
+// is a Unix-domain socket pair per party.
 pub(crate) use std::os::unix::net::UnixStream as Stream;
 
-/// A connected bidirectional stream pair: Unix-domain socketpair where
-/// available, TCP loopback elsewhere.
-#[cfg(unix)]
-pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
-    Stream::pair()
-}
-
-/// TCP-localhost fallback for platforms without Unix sockets.
-#[cfg(not(unix))]
-pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
-    let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let a = Stream::connect(addr)?;
-    let (b, _) = listener.accept()?;
-    a.set_nodelay(true)?;
-    b.set_nodelay(true)?;
-    Ok((a, b))
-}
-
-/// How long an engine thread sleeps when it has nothing scheduled — pure
-/// wake-up granularity; a submission, a readiness event or a stop
-/// interrupts it immediately.
+/// How long a scheduler or worker thread sleeps when it has nothing
+/// scheduled — pure wake-up granularity; a submission, a readiness event
+/// or a stop interrupts it immediately.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// Everything the engines need to know about the environment of one run.
+/// Everything the engine needs to know about the environment of one run.
 pub(crate) struct EnginePlan {
     pub config: Config,
     /// Injected wall latency per `(from, to)` link, `from * n + to`
@@ -119,8 +95,8 @@ pub(crate) struct RawRun {
     pub peak_queue: usize,
     /// Wall time from engine start to shutdown.
     pub elapsed: Duration,
-    /// Worker-pool counters (readiness-loop backend only).
-    pub sched: Option<SchedCounters>,
+    /// Worker-pool counters.
+    pub sched: SchedCounters,
 }
 
 /// Converts a simulated duration (integer µs) to a wall-clock one.
@@ -133,9 +109,9 @@ pub(crate) fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The spec-to-environment mapping shared by every wall-clock backend in
-/// this crate: δ/jitter → the injected link matrix, skew → party start
-/// offsets, plus the caller's deadline.
+/// The spec-to-environment mapping of a wall-clock run: δ/jitter → the
+/// injected link matrix, skew → party start offsets, plus the caller's
+/// deadline.
 pub(crate) fn engine_plan(spec: &ScenarioSpec, deadline: Duration) -> EnginePlan {
     let config = spec.config().expect("validated by the registry");
     let n = config.n();
@@ -190,15 +166,14 @@ pub(crate) fn outcome_from_raw(spec: &ScenarioSpec, raw: RawRun) -> Outcome {
         // transports, so there is no enqueue-drop path or retained queue.
         drops_at_enqueue: 0,
         queue_bytes: 0,
-        sched: raw.sched,
+        sched: Some(raw.sched),
     })
 }
 
-/// The party-side [`Context`] of the wall-clock runtimes. Effects buffer
+/// The party-side [`Context`] of the wall-clock runtime. Effects buffer
 /// here and the transport drains them after the handler returns;
-/// `multicast` stays one entry (not `n` sends) so the drain can share the
-/// payload — as an `Arc` on the in-memory transport, as one encoded byte
-/// buffer on the socket transports.
+/// `multicast` stays one entry (not `n` sends) so the drain encodes the
+/// payload once and the scheduler fans that one byte buffer out.
 pub(crate) struct NetCtx<M> {
     pub(crate) me: PartyId,
     pub(crate) config: Config,
@@ -272,12 +247,12 @@ pub(crate) enum Step<M> {
     Timer(u64),
 }
 
-/// The per-party bookkeeping every engine repeats around a handler call:
+/// The per-party bookkeeping around every handler call:
 /// the handled-event count, the causal round tag, and first-commit
 /// detection. [`PartyCore::handle`] runs one event through the strategy
-/// and records any commits; the caller drains the returned [`NetCtx`]'s
-/// sends/multicasts/timers in its transport-specific way and reads
-/// `terminate` off it.
+/// and records any commits; the caller encodes the returned [`NetCtx`]'s
+/// sends/multicasts/timers as submission frames and reads `terminate` off
+/// it.
 pub(crate) struct PartyCore {
     pub me: PartyId,
     pub config: Config,
@@ -383,9 +358,9 @@ impl<D> PartialOrd for Scheduled<D> {
 }
 
 /// Blocks until every honest party has reported termination on `done_rx`
-/// or `deadline_at` passes — the early-exit protocol shared by all wall
-/// engines (the deadline is only the fallback horizon for runs where some
-/// honest party never terminates).
+/// or `deadline_at` passes — the early-exit protocol (the deadline is only
+/// the fallback horizon for runs where some honest party never
+/// terminates).
 pub(crate) fn await_honest_done(done_rx: &Receiver<()>, honest: &[bool], deadline_at: Instant) {
     let mut remaining = honest.iter().filter(|h| **h).count();
     while remaining > 0 {
@@ -401,78 +376,15 @@ pub(crate) fn await_honest_done(done_rx: &Receiver<()>, honest: &[bool], deadlin
 }
 
 // ---------------------------------------------------------------------
-// The frame protocol (shared by the socket and readiness-loop backends).
+// The frame protocol.
 // ---------------------------------------------------------------------
 
-// Frame kind tags. Submissions travel party → dispatcher, deliveries
-// dispatcher → party; `STOP` only ever travels dispatcher → party.
+// Frame kind tags. Submissions travel party → scheduler, deliveries
+// scheduler → party; `STOP` only ever travels scheduler → party.
 pub(crate) const KIND_UNICAST: u8 = 1;
 pub(crate) const KIND_MULTICAST: u8 = 2;
 pub(crate) const KIND_TIMER: u8 = 3;
 pub(crate) const KIND_STOP: u8 = 4;
-
-/// Writes one `u32`-length-prefixed frame.
-pub(crate) fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).expect("frames stay far below 4 GiB");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)
-}
-
-/// Retryable read interruptions: a signal mid-syscall, or a spurious
-/// wakeup / read timeout on a blocking socket. (On *non*blocking sockets
-/// use [`FrameBuffer`], which treats `WouldBlock` as "no more bytes yet"
-/// instead of retrying.)
-fn retryable(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-    )
-}
-
-/// Reads one length-prefixed frame (blocking). `Ok(None)` on clean EOF at
-/// a frame boundary. Both the 4-byte prefix and the body are filled
-/// incrementally, so short reads and `EINTR`/`WouldBlock` at *any* byte
-/// boundary — mid-prefix or mid-body — never corrupt the stream.
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let want = u32::from_le_bytes(len) as usize;
-    let mut body = vec![0u8; want];
-    let mut filled = 0;
-    while filled < want {
-        match r.read(&mut body[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(body))
-}
-
-/// A reader adapter that caps every `read` at `chunk` bytes — the
-/// [`EnginePlan::read_chunk`] test knob, forcing frame reassembly through
-/// arbitrary short-read boundaries. `chunk = usize::MAX` is a no-op wrap.
-pub(crate) struct Throttle<R> {
-    pub inner: R,
-    pub chunk: usize,
-}
-
-impl<R: Read> Read for Throttle<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let cap = buf.len().min(self.chunk.max(1));
-        self.inner.read(&mut buf[..cap])
-    }
-}
 
 /// Incremental frame reassembly for nonblocking sockets: [`fill`] drains
 /// whatever bytes the socket has right now, [`next_frame`] yields only
@@ -610,13 +522,25 @@ impl OutBuf {
     }
 }
 
-/// A submission as parsed off a party's socket by the dispatcher.
+/// A submission as parsed off a party's socket, or injected by the
+/// client, on its way into the scheduler.
 pub(crate) struct Submission {
     pub from: PartyId,
     pub kind: SubmissionKind,
 }
 
 pub(crate) enum SubmissionKind {
+    /// Traffic for the delivery heap.
+    Message(Message),
+    /// A protocol timer for the sender, armed on the scheduler's wheel.
+    Timer { delay: Duration, tag: u64 },
+    /// Engine-internal: the run is over, flush stop frames and exit.
+    Shutdown,
+}
+
+/// A message submission, routed across the sender's links by
+/// [`DeliveryHeap::route`].
+pub(crate) enum Message {
     Unicast {
         to: PartyId,
         round: u32,
@@ -627,15 +551,9 @@ pub(crate) enum SubmissionKind {
         round: u32,
         bytes: Arc<Vec<u8>>,
     },
-    Timer {
-        delay: Duration,
-        tag: u64,
-    },
-    /// Engine-internal: the run is over, flush stop frames and exit.
-    Shutdown,
 }
 
-/// What the dispatcher delivers to a party.
+/// What the scheduler delivers to a party.
 pub(crate) enum Delivery {
     Msg {
         from: PartyId,
@@ -664,7 +582,7 @@ pub(crate) fn delivery_frame(delivery: &Delivery) -> Vec<u8> {
 }
 
 /// Parses a submission frame body. Total: a malformed frame (unknown kind,
-/// truncated header) yields `None`, and the dispatcher treats the sending
+/// truncated header) yields `None`, and the scheduler treats the sending
 /// party as crashed — one garbled peer must never abort the whole run.
 pub(crate) fn parse_submission(from: PartyId, body: Vec<u8>) -> Option<Submission> {
     let mut r = &body[..];
@@ -672,20 +590,20 @@ pub(crate) fn parse_submission(from: PartyId, body: Vec<u8>) -> Option<Submissio
         KIND_UNICAST => {
             let to = PartyId::decode(&mut r).ok()?;
             let round = u32::decode(&mut r).ok()?;
-            SubmissionKind::Unicast {
+            SubmissionKind::Message(Message::Unicast {
                 to,
                 round,
                 bytes: r.to_vec(),
-            }
+            })
         }
         KIND_MULTICAST => {
             let skip = Option::<PartyId>::decode(&mut r).ok()?;
             let round = u32::decode(&mut r).ok()?;
-            SubmissionKind::Multicast {
+            SubmissionKind::Message(Message::Multicast {
                 skip,
                 round,
                 bytes: Arc::new(r.to_vec()),
-            }
+            })
         }
         KIND_TIMER => {
             let delay = u64::decode(&mut r).ok()?;
@@ -733,20 +651,12 @@ pub(crate) fn parse_delivery(body: &[u8]) -> Option<DeliveryFrame<'_>> {
     }
 }
 
-/// What [`DeliveryHeap::route`] decided about one submission.
-pub(crate) enum Routed {
-    /// Scheduled (or fanned out) into the heap.
-    Queued,
-    /// The engine's shutdown marker: flush stop frames and exit.
-    Shutdown,
-}
-
-/// The dispatcher's clock-ordered delivery heap plus the routing rules
-/// every socket-transport backend shares: unicasts cross their link,
-/// multicasts fan out sharing one encoded payload, timers return to their
-/// owner, and client-addressed frames (the reserved out-of-band id) cross
-/// the sender's worst link — the external client is at least as far away
-/// as the farthest party.
+/// The scheduler's clock-ordered delivery heap plus the routing rules:
+/// unicasts cross their link, multicasts fan out sharing one encoded
+/// payload, fired timers return to their owner at once, and
+/// client-addressed frames (the reserved out-of-band id) cross the
+/// sender's worst link — the external client is at least as far away as
+/// the farthest party.
 pub(crate) struct DeliveryHeap {
     heap: BinaryHeap<Scheduled<Delivery>>,
     next_seq: u64,
@@ -776,16 +686,16 @@ impl DeliveryHeap {
             what,
         });
         self.next_seq += 1;
+        self.peak = self.peak.max(self.heap.len());
     }
 
-    /// Stamps and schedules one submission. `links` is the full n×n link
-    /// matrix of the plan.
-    pub(crate) fn route(&mut self, sub: Submission, links: &[Duration], now: Instant) -> Routed {
+    /// Stamps and schedules one message from party `from` (which must be
+    /// `< n`). `links` is the full n×n link matrix of the plan.
+    pub(crate) fn route(&mut self, from: PartyId, msg: Message, links: &[Duration], now: Instant) {
         let n = self.n;
-        let row = sub.from.as_usize() * n;
-        match sub.kind {
-            SubmissionKind::Shutdown => return Routed::Shutdown,
-            SubmissionKind::Unicast { to, round, bytes } => {
+        let row = from.as_usize() * n;
+        match msg {
+            Message::Unicast { to, round, bytes } => {
                 self.messages += 1;
                 let delay = if to.as_usize() >= n {
                     links[row..row + n]
@@ -800,15 +710,14 @@ impl DeliveryHeap {
                     now + delay,
                     to,
                     Delivery::Msg {
-                        from: sub.from,
+                        from,
                         round,
                         bytes: Arc::new(bytes),
                     },
                 );
             }
-            SubmissionKind::Multicast { skip, round, bytes } => {
-                // One encoded payload, n scheduled frames — the byte-
-                // transport analogue of the `Arc` fan-out. Every recipient
+            Message::Multicast { skip, round, bytes } => {
+                // One encoded payload, n scheduled frames; every recipient
                 // still decodes its own copy.
                 for t in 0..n as u32 {
                     let to = PartyId::new(t);
@@ -820,22 +729,23 @@ impl DeliveryHeap {
                         now + links[row + to.as_usize()],
                         to,
                         Delivery::Msg {
-                            from: sub.from,
+                            from,
                             round,
                             bytes: Arc::clone(&bytes),
                         },
                     );
                 }
             }
-            SubmissionKind::Timer { delay, tag } => {
-                self.push(now + delay, sub.from, Delivery::Timer(tag));
-            }
         }
-        self.peak = self.peak.max(self.heap.len());
-        Routed::Queued
     }
 
-    /// How long the dispatcher may sleep before the next entry falls due
+    /// Schedules a fired timer for delivery to its owner at `now`, stamped
+    /// like any message — the same global tie discipline.
+    pub(crate) fn fire_timer(&mut self, owner: PartyId, tag: u64, now: Instant) {
+        self.push(now, owner, Delivery::Timer(tag));
+    }
+
+    /// How long the scheduler may sleep before the next entry falls due
     /// (the idle-poll granularity when the heap is empty).
     pub(crate) fn next_timeout(&self) -> Duration {
         self.heap
@@ -853,15 +763,13 @@ impl DeliveryHeap {
     }
 }
 
-/// A client's way into a socket-transport run: injects encoded messages
-/// that are scheduled and delivered exactly like party traffic (self-link
-/// delay, real bytes across the recipient's socket) — and receives the
-/// frames replicas address to the reserved [`PartyId::CLIENT`] (serving
+/// A client's way into a run: injects encoded messages that are
+/// scheduled and delivered exactly like party traffic (self-link delay,
+/// real bytes across the recipient's socket) — and receives the frames
+/// replicas address to the reserved [`PartyId::CLIENT`] (serving
 /// acknowledgements and back-pressure).
 ///
 /// Handed to the driver closure of
-/// [`SocketBackend::execute_with_client`](crate::SocketBackend::execute_with_client)
-/// or
 /// [`AsyncBackend::execute_with_client`](crate::AsyncBackend::execute_with_client);
 /// cloneable so a driver may fan out over threads (receives are
 /// serialized behind a mutex — one clone draining the delivery channel is
@@ -870,16 +778,15 @@ impl DeliveryHeap {
 pub struct ClientHandle {
     sub_tx: Sender<Submission>,
     delivery_rx: Arc<Mutex<Receiver<Vec<u8>>>>,
-    /// Readiness-loop runs wake their scheduler through this pipe; the
-    /// blocking socket runtime wakes through the channel itself.
-    waker: Option<Arc<Stream>>,
+    /// Wakes the scheduler's poll after each submission.
+    waker: Arc<Stream>,
 }
 
 impl ClientHandle {
     pub(crate) fn new(
         sub_tx: Sender<Submission>,
         delivery_rx: Receiver<Vec<u8>>,
-        waker: Option<Arc<Stream>>,
+        waker: Arc<Stream>,
     ) -> Self {
         ClientHandle {
             sub_tx,
@@ -888,27 +795,28 @@ impl ClientHandle {
         }
     }
 
-    /// Injects one encoded message for `to` (delivered as if `to` had sent
-    /// it to itself, i.e. after the zero self-link delay). Returns `false`
-    /// once the run has shut down — drivers should stop submitting then.
+    /// Injects one encoded message for party `to` (delivered as if `to`
+    /// had sent it to itself, i.e. after the zero self-link delay). `to`
+    /// must be a party of the run (`to < n`); the scheduler drops a
+    /// submission for any other id, [`PartyId::CLIENT`] included. Returns
+    /// `false` once the run has shut down — drivers should stop submitting
+    /// then.
     pub fn submit(&self, to: PartyId, bytes: Vec<u8>) -> bool {
         let ok = self
             .sub_tx
             .send(Submission {
                 from: to,
-                kind: SubmissionKind::Unicast {
+                kind: SubmissionKind::Message(Message::Unicast {
                     to,
                     round: 0,
                     bytes,
-                },
+                }),
             })
             .is_ok();
         if ok {
-            if let Some(w) = &self.waker {
-                // One byte on the wake pipe; a full pipe means the
-                // scheduler is already awake, so WouldBlock is success.
-                let _ = (&**w).write(&[1]);
-            }
+            // One byte on the wake pipe; a full pipe means the scheduler
+            // is already awake, so WouldBlock is success.
+            let _ = (&*self.waker).write(&[1]);
         }
         ok
     }
@@ -936,19 +844,39 @@ impl std::fmt::Debug for ClientHandle {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip_length_prefix() {
-        let (mut a, mut b) = stream_pair().expect("pair");
-        write_frame(&mut a, &[9, 8, 7]).unwrap();
-        write_frame(&mut a, &[]).unwrap();
-        assert_eq!(read_frame(&mut b).unwrap(), Some(vec![9, 8, 7]));
-        assert_eq!(read_frame(&mut b).unwrap(), Some(vec![]));
-        drop(a);
-        assert_eq!(read_frame(&mut b).unwrap(), None, "clean EOF");
+    /// `frames` rendered as wire bytes through the outbound queue.
+    fn wire(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = OutBuf::new();
+        for f in frames {
+            out.push_frame(f);
+        }
+        let mut bytes = Vec::new();
+        assert!(out.flush(&mut bytes).unwrap(), "a Vec never blocks");
+        bytes
     }
 
-    /// A reader that yields one byte per call and injects a retryable
-    /// error before every byte — the worst legal stream.
+    #[test]
+    fn frames_round_trip_length_prefix() {
+        // OutBuf → socket → FrameBuffer: the prefix carries each body,
+        // the empty frame included, and a closed peer reads as EOF with
+        // nothing left over.
+        let (mut a, mut b) = Stream::pair().expect("pair");
+        b.set_nonblocking(true).expect("nonblocking");
+        a.write_all(&wire(&[vec![9, 8, 7], vec![]])).unwrap();
+        drop(a);
+        let mut fb = FrameBuffer::new();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !fb.fill(&mut b, None).unwrap() {
+            assert!(Instant::now() < deadline, "EOF never arrived");
+        }
+        assert_eq!(fb.next_frame(), Some(vec![9, 8, 7]));
+        assert_eq!(fb.next_frame(), Some(vec![]));
+        assert_eq!(fb.next_frame(), None, "clean EOF at a frame boundary");
+    }
+
+    /// A reader that yields one byte per call and injects an interruption
+    /// or a would-block before every byte — the worst legal nonblocking
+    /// stream.
     struct OneByteInterrupted {
         data: Vec<u8>,
         pos: usize,
@@ -959,7 +887,7 @@ mod tests {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             if self.interrupt_next {
                 self.interrupt_next = false;
-                // Alternate the two retryable kinds.
+                // Alternate the two kinds.
                 let kind = if self.pos.is_multiple_of(2) {
                     io::ErrorKind::Interrupted
                 } else {
@@ -978,46 +906,33 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_survives_one_byte_reads_and_interruptions() {
-        // Three frames back to back, delivered one byte at a time with an
-        // EINTR/WouldBlock before every single byte — mid-prefix and
-        // mid-body alike. The pre-fix reader `read_exact`ed the body, so a
-        // WouldBlock mid-body was a hard error.
-        let mut wire = Vec::new();
-        for body in [&b"hello"[..], &b""[..], &[1u8, 2, 3, 4, 5, 6, 7][..]] {
-            write_frame(&mut wire, body).unwrap();
-        }
+    fn frame_buffer_fill_survives_one_byte_reads_and_interruptions() {
+        // Three frames back to back, one byte per read with an EINTR or
+        // WouldBlock before every byte — mid-prefix and mid-body alike.
+        // `fill` retries EINTR and yields on WouldBlock; repeated fills
+        // must reassemble every frame and then report EOF.
+        let frames = vec![b"hello".to_vec(), Vec::new(), vec![1, 2, 3, 4, 5, 6, 7]];
         let mut r = OneByteInterrupted {
-            data: wire,
+            data: wire(&frames),
             pos: 0,
             interrupt_next: true,
         };
-        assert_eq!(read_frame(&mut r).unwrap(), Some(b"hello".to_vec()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(vec![1, 2, 3, 4, 5, 6, 7]));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at boundary");
-    }
-
-    #[test]
-    fn read_frame_rejects_eof_mid_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"truncated").unwrap();
-        for cut in 1..wire.len() {
-            let mut r = io::Cursor::new(wire[..cut].to_vec());
-            let err = read_frame(&mut r).expect_err("EOF mid-frame at {cut}");
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut fb = FrameBuffer::new();
+        let mut got = Vec::new();
+        let mut fills = 0;
+        loop {
+            let eof = fb.fill(&mut r, None).unwrap();
+            while let Some(frame) = fb.next_frame() {
+                got.push(frame);
+            }
+            if eof {
+                break;
+            }
+            fills += 1;
+            assert!(fills < 1000, "fill must make progress");
         }
-    }
-
-    #[test]
-    fn throttle_caps_read_size() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[42; 100]).unwrap();
-        let mut t = Throttle {
-            inner: io::Cursor::new(wire),
-            chunk: 1,
-        };
-        assert_eq!(read_frame(&mut t).unwrap(), Some(vec![42; 100]));
+        assert_eq!(got, frames);
+        assert_eq!(fb.next_frame(), None, "clean EOF at a frame boundary");
     }
 
     #[test]
@@ -1026,13 +941,9 @@ mod tests {
         // byte by byte; complete frames must pop out exactly at their
         // boundaries, identical to a bulk parse.
         let frames: Vec<Vec<u8>> = vec![b"abc".to_vec(), Vec::new(), vec![0xFF; 300]];
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
-        for (i, byte) in wire.iter().enumerate() {
+        for (i, byte) in wire(&frames).iter().enumerate() {
             fb.push_bytes(&[*byte]);
             while let Some(frame) = fb.next_frame() {
                 got.push((i, frame));
@@ -1054,10 +965,7 @@ mod tests {
         // length slices): reassembly must be byte-exact regardless of how
         // the kernel fragments reads.
         let frames: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; i as usize * 7]).collect();
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
+        let wire = wire(&frames);
         let mut state: u64 = 0x9e3779b97f4a7c15;
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
@@ -1076,9 +984,9 @@ mod tests {
 
     #[test]
     fn frame_buffer_fills_from_nonblocking_socket() {
-        let (mut a, mut b) = stream_pair().expect("pair");
+        let (mut a, mut b) = Stream::pair().expect("pair");
         b.set_nonblocking(true).expect("nonblocking");
-        write_frame(&mut a, b"over the wire").unwrap();
+        a.write_all(&wire(&[b"over the wire".to_vec()])).unwrap();
         let mut fb = FrameBuffer::new();
         // Data may take an instant to appear in the receive buffer.
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -1177,12 +1085,169 @@ mod tests {
             parse_delivery(&[KIND_STOP]),
             Some(DeliveryFrame::Stop)
         ));
-        assert!(parse_delivery(&[]).is_none(), "empty frame is corrupt");
         assert!(parse_delivery(&[99]).is_none(), "unknown kind is corrupt");
-        assert!(
-            parse_delivery(&[KIND_TIMER, 1]).is_none(),
-            "truncated timer tag is corrupt"
-        );
+    }
+
+    /// LCG-generated garbage bodies of every length below 64.
+    fn lcg_garbage(seed: u64) -> impl Iterator<Item = Vec<u8>> {
+        let mut state = seed;
+        (0..64usize).map(move |len| {
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 33) as u8
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn malformed_submission_frames_are_rejected_not_fatal() {
+        // Fuzz-style sweep over both untrusted-bytes parsers. Submissions
+        // (party → scheduler): truncations of every valid frame shape,
+        // unknown kinds and LCG garbage all come back as `None` (sender
+        // treated as crashed). Deliveries (scheduler → party): every
+        // header truncation is `None`, and garbage never panics.
+        let from = PartyId::new(1);
+        let mut unicast = vec![KIND_UNICAST];
+        PartyId::new(2).encode(&mut unicast);
+        7u32.encode(&mut unicast);
+        unicast.extend_from_slice(b"payload");
+        let mut multicast = vec![KIND_MULTICAST];
+        Option::<PartyId>::None.encode(&mut multicast);
+        7u32.encode(&mut multicast);
+        let mut timer = vec![KIND_TIMER];
+        5u64.encode(&mut timer);
+        9u64.encode(&mut timer);
+        // Pair each frame with its header length: everything after the
+        // header is payload bytes, and a truncated *payload* is the codec's
+        // problem, not the framing's. Only the unicast frame above carries
+        // payload bytes (7 of them).
+        for (valid, header_len) in [
+            (&unicast, unicast.len() - 7),
+            (&multicast, multicast.len()),
+            (&timer, timer.len()),
+        ] {
+            assert!(parse_submission(from, valid.clone()).is_some());
+            // Every strict prefix of the header is truncated garbage.
+            for cut in 0..header_len {
+                assert!(
+                    parse_submission(from, valid[..cut].to_vec()).is_none(),
+                    "truncation at {cut} must be rejected"
+                );
+            }
+        }
+        assert!(parse_submission(from, vec![]).is_none(), "empty frame");
+        for kind in [0u8, KIND_STOP, 5, 99, 255] {
+            assert!(
+                parse_submission(from, vec![kind, 0, 0, 0, 0]).is_none(),
+                "kind {kind} is not a submission"
+            );
+        }
+        for body in lcg_garbage(0x6b6f) {
+            let _ = parse_submission(from, body); // must not panic
+        }
+
+        let msg = delivery_frame(&Delivery::Msg {
+            from: PartyId::new(3),
+            round: 9,
+            bytes: Arc::new(b"payload".to_vec()),
+        });
+        let tick = delivery_frame(&Delivery::Timer(77));
+        for (valid, header_len) in [(&msg, msg.len() - 7), (&tick, tick.len())] {
+            assert!(parse_delivery(valid).is_some());
+            for cut in 0..header_len {
+                assert!(
+                    parse_delivery(&valid[..cut]).is_none(),
+                    "delivery truncation at {cut} must be rejected"
+                );
+            }
+        }
+        for body in lcg_garbage(0x7a11) {
+            let _ = parse_delivery(&body); // must not panic
+        }
+    }
+
+    /// The outcome of a 4-party brb2 run whose raw commit stream is
+    /// `(party, value, ms since start, first commit of the party?)`.
+    fn audit(commits: &[(u32, u64, u64, bool)]) -> Outcome {
+        let commits = commits
+            .iter()
+            .map(|&(p, v, ms, first)| RawCommit {
+                party: PartyId::new(p),
+                value: Value::new(v),
+                elapsed: Duration::from_millis(ms),
+                local: Duration::from_millis(ms),
+                round: 2,
+                step: 3,
+                first,
+            })
+            .collect();
+        let raw = RawRun {
+            commits,
+            terminated: vec![true; 4],
+            honest: vec![true; 4],
+            events_handled: 0,
+            messages_sent: 0,
+            peak_queue: 0,
+            elapsed: Duration::from_millis(60),
+            sched: SchedCounters::default(),
+        };
+        outcome_from_raw(&ScenarioSpec::asynchronous("brb2", 4, 1), raw)
+    }
+
+    #[test]
+    fn outcome_audits_use_first_commit_per_party() {
+        // The raw stream keeps every commit; agreement, the committed
+        // value and latency must read each party's FIRST. Party 0 commits
+        // 1 and then (multi-commit) 9, long after the rest.
+        let o = audit(&[
+            (0, 1, 2, true),
+            (1, 1, 3, true),
+            (2, 1, 4, true),
+            (3, 1, 5, true),
+            (0, 9, 50, false),
+        ]);
+        assert_eq!(o.commits().len(), 4, "one first commit per party");
+        assert!(o.agreement_holds(), "the later 9 is not a first commit");
+        assert_eq!(o.committed_value(), Some(Value::new(1)));
+        assert!(o.all_honest_committed());
+        assert_eq!(o.good_case_latency(), Some(SimDuration::from_millis(5)));
+
+        let disagree = audit(&[
+            (0, 1, 2, true),
+            (1, 2, 3, true),
+            (2, 1, 4, true),
+            (3, 1, 5, true),
+        ]);
+        assert!(!disagree.agreement_holds());
+        assert_eq!(disagree.committed_value(), None);
+
+        let partial = audit(&[(0, 1, 2, true), (1, 1, 3, true), (2, 1, 4, true)]);
+        assert!(!partial.all_honest_committed());
+        assert_eq!(partial.committed_value(), Some(Value::new(1)));
+        assert_eq!(partial.good_case_latency(), None);
+    }
+
+    /// A message whose clone is a test failure.
+    #[derive(Debug)]
+    struct NoClone;
+    impl Clone for NoClone {
+        fn clone(&self) -> Self {
+            panic!("a buffered multicast must not clone its payload")
+        }
+    }
+
+    #[test]
+    fn multicast_buffers_one_entry_without_cloning() {
+        // The party side of the one-payload fan-out: a multicast is one
+        // buffered entry (encoded once by the drain), not n cloned sends.
+        let mut ctx = NetCtx::new(PartyId::new(0), Config::new(4, 1).unwrap(), LocalTime::ZERO);
+        ctx.multicast(NoClone);
+        ctx.multicast_except(NoClone, PartyId::new(2));
+        assert!(ctx.sends.is_empty(), "no per-recipient fan-out at send");
+        assert_eq!(ctx.mcasts.len(), 2, "one buffered entry per multicast");
+        assert_eq!(ctx.mcasts[1].0, Some(PartyId::new(2)), "skip recorded");
     }
 
     #[test]
@@ -1230,15 +1295,12 @@ mod tests {
         ];
         let mut dh = DeliveryHeap::new(2);
         let now = Instant::now();
-        let sub = Submission {
-            from: PartyId::new(0),
-            kind: SubmissionKind::Unicast {
-                to: PartyId::CLIENT,
-                round: 0,
-                bytes: vec![1],
-            },
+        let msg = Message::Unicast {
+            to: PartyId::CLIENT,
+            round: 0,
+            bytes: vec![1],
         };
-        assert!(matches!(dh.route(sub, &links, now), Routed::Queued));
+        dh.route(PartyId::new(0), msg, &links, now);
         let entry = dh.heap.pop().expect("scheduled");
         assert_eq!(entry.to, PartyId::CLIENT);
         assert_eq!(entry.due, now + Duration::from_millis(9), "worst link");
@@ -1249,18 +1311,12 @@ mod tests {
     fn delivery_heap_multicast_shares_one_payload() {
         let links = vec![Duration::ZERO; 9];
         let mut dh = DeliveryHeap::new(3);
-        let sub = Submission {
-            from: PartyId::new(1),
-            kind: SubmissionKind::Multicast {
-                skip: Some(PartyId::new(1)),
-                round: 2,
-                bytes: Arc::new(vec![5, 6]),
-            },
+        let msg = Message::Multicast {
+            skip: Some(PartyId::new(1)),
+            round: 2,
+            bytes: Arc::new(vec![5, 6]),
         };
-        assert!(matches!(
-            dh.route(sub, &links, Instant::now()),
-            Routed::Queued
-        ));
+        dh.route(PartyId::new(1), msg, &links, Instant::now());
         assert_eq!(dh.messages, 2, "skip excluded");
         assert_eq!(dh.peak, 2);
         let mut recipients = Vec::new();

@@ -8,8 +8,8 @@
 //! `Context<ErasedMsg>` as the protocol's native `Context<M>`. A family
 //! registers **once** (its runner closure calls
 //! [`ScenarioSpec::run_protocol_on`]) and every [`Backend`] can execute
-//! it: the inline simulator, `gcl_net`'s wall-clock thread runtime, or any
-//! future process/socket runtime.
+//! it: the inline simulator, `gcl_net`'s wall-clock async backend, or any
+//! future runtime.
 //!
 //! The inline simulator stays erasure-free: [`SimBackend`] reports
 //! [`Backend::native_sim`], so `run_protocol_on` routes it through the

@@ -23,9 +23,8 @@ pub struct CommitRecord {
 }
 
 /// Execution-scheduler counters reported by backends that multiplex many
-/// parties over a fixed pool of OS threads (the readiness-loop backend).
-/// Backends with one thread per party — and the simulator, which has no
-/// scheduler at all — report `None`.
+/// parties over a fixed pool of OS threads (`gcl_net`'s async backend).
+/// The simulator, which has no scheduler at all, reports `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedCounters {
     /// Size of the worker pool the run's parties were multiplexed over.
@@ -63,8 +62,8 @@ pub struct Outcome {
 
 /// The raw observations a non-simulator execution backend assembles into
 /// an [`Outcome`] (via `Outcome::from`). The simulator fills its outcomes
-/// in directly; wall-clock backends like `gcl_net` measure these on real
-/// clocks. Round-boundary bookkeeping (`last_delivery_of_round`) and
+/// in directly; wall-clock backends like `gcl_net`'s async backend
+/// measure these on real clocks. Round-boundary bookkeeping (`last_delivery_of_round`) and
 /// traces are simulator-only and start empty.
 #[derive(Debug, Clone)]
 pub struct OutcomeParts {

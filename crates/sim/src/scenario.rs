@@ -60,7 +60,7 @@
 //! The `backend` parameter is what makes a registration execution-target
 //! agnostic: [`ScenarioRegistry::run`] passes the inline simulator, while
 //! [`ScenarioRegistry::run_on`] can pass any other [`Backend`] (e.g.
-//! `gcl_net`'s wall-clock thread runtime) and the same one-line
+//! `gcl_net`'s wall-clock async backend) and the same one-line
 //! registration runs there too.
 
 use crate::backend::{Backend, Erase, ErasedMsg, ErasedSlot, MsgCodec, SimBackend};
@@ -1003,7 +1003,7 @@ impl ScenarioRegistry {
 
     /// Runs one spec end to end on an arbitrary execution [`Backend`] —
     /// the same validation, the same family registration, a different
-    /// execution target (e.g. `gcl_net`'s wall-clock thread runtime).
+    /// execution target (e.g. `gcl_net`'s wall-clock async backend).
     ///
     /// # Errors
     ///

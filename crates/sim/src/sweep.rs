@@ -215,10 +215,10 @@ impl<'a> Sweep<'a> {
     }
 
     /// Retargets every cell onto `backend` (e.g. `gcl_net`'s wall-clock
-    /// runtimes). Worker threads each drive full backend runs, so pick a
+    /// backend). Worker threads each drive full backend runs, so pick a
     /// thread budget with the backend's own thread fan-out in mind: a
-    /// thread-per-party backend at `threads(2)` already runs `2 × n` party
-    /// threads. Wall-clock cells are *not* deterministic in the spec —
+    /// backend with a scheduler and a `k`-thread worker pool at
+    /// `threads(2)` already runs `2 × (k + 1)` engine threads. Wall-clock cells are *not* deterministic in the spec —
     /// latency and event counts reflect the machine — but the audited
     /// agreement/validity columns still gate like simulator sweeps.
     #[must_use]

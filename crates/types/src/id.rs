@@ -25,8 +25,8 @@ impl PartyId {
     /// The reserved out-of-band client address: never one of the `n`
     /// parties. Serving protocols (the SMR engine) address acknowledgements
     /// here; backends either route such sends to their external client
-    /// channel (the socket backend) or drop them (the simulator and the
-    /// in-memory thread runtime, which have no client endpoint).
+    /// channel (the async wall-clock backend) or drop them (the
+    /// simulator, which has no client endpoint).
     pub const CLIENT: PartyId = PartyId(u32::MAX);
 
     /// Creates a party id from its index.

@@ -1,11 +1,10 @@
 //! The wire codec: [`Encode`] / [`Decode`] for every protocol message.
 //!
-//! Until this module existed, every "message" in the workspace was an
-//! in-memory clone — even the wall-clock net runtime handed `Arc`s between
-//! threads, so nothing ever proved the message types survive
-//! serialization. The socket execution backend (`gcl_net::SocketBackend`)
-//! moves real bytes through real sockets, which forces a codec onto every
-//! message type; this module is that codec.
+//! The simulator hands messages between parties as in-memory values, so
+//! on its own nothing proves the message types survive serialization. The
+//! wall-clock execution backend (`gcl_net::AsyncBackend`) moves real
+//! bytes through real sockets, which forces a codec onto every message
+//! type; this module is that codec.
 //!
 //! The format is deliberately minimal and deterministic — no schema
 //! evolution, no varints, no self-description — because both endpoints of

@@ -1,27 +1,25 @@
-//! Four backends, one scenario layer: run registry families on the
-//! deterministic simulator, on the thread-per-party wall-clock runtime,
-//! on the socket runtime (where every message crosses a Unix socket as
-//! bytes), AND on the async runtime (where all n parties multiplex over
-//! a readiness loop and a fixed worker pool), and compare what each
-//! reports.
+//! Two execution targets, one scenario layer: run registry families on the
+//! deterministic simulator and on the async wall-clock runtime (every
+//! message crosses a Unix socket as bytes, all n parties multiplex over a
+//! readiness loop), with the runtime's worker pool at one thread and at
+//! its default size, and compare what each reports.
 //!
 //! ```text
 //! cargo run --release --example net_backend
 //! ```
 
-use gcl::net::{AsyncBackend, NetBackend, SocketBackend};
+use gcl::net::AsyncBackend;
 use gcl_bench::conformance::wall_spec;
 
 fn main() {
     let reg = gcl_bench::registry();
-    let net = NetBackend::new();
-    let socket = SocketBackend::new();
-    let asynch = AsyncBackend::new();
+    let single = AsyncBackend::new().workers(1);
+    let pooled = AsyncBackend::new();
 
-    println!("== one spec, four execution targets ==\n");
+    println!("== one spec, the simulator and two worker pools ==\n");
     println!(
-        "{:<14} {:>6} {:>12} {:>12} {:>14} {:>13}  committed",
-        "family", "(n,f)", "sim lat us", "net lat us", "socket lat us", "async lat us"
+        "{:<14} {:>6} {:>12} {:>15} {:>15}  committed",
+        "family", "(n,f)", "sim lat us", "1-worker lat us", "pooled lat us"
     );
     for key in [
         "brb2",
@@ -33,15 +31,14 @@ fn main() {
     ] {
         let spec = wall_spec(reg, key);
         let sim = reg.run(&spec).expect("spec admitted");
-        let wall = reg.run_on(&spec, &net).expect("spec admitted");
-        let wired = reg.run_on(&spec, &socket).expect("spec admitted");
-        let pooled = reg.run_on(&spec, &asynch).expect("spec admitted");
-        for (backend, o) in [("net", &wall), ("socket", &wired), ("async", &pooled)] {
-            assert!(o.agreement_holds(), "{key}: {backend} agreement");
+        let one = reg.run_on(&spec, &single).expect("spec admitted");
+        let many = reg.run_on(&spec, &pooled).expect("spec admitted");
+        for (label, o) in [("1-worker", &one), ("pooled", &many)] {
+            assert!(o.agreement_holds(), "{key}: {label} agreement");
             assert_eq!(
                 o.committed_value(),
                 sim.committed_value(),
-                "{key}: {backend} must land on the simulator's value"
+                "{key}: {label} must land on the simulator's value"
             );
         }
         let lat = |o: &gcl::sim::Outcome| {
@@ -50,29 +47,24 @@ fn main() {
                 .unwrap_or_else(|| "-".into())
         };
         println!(
-            "{:<14} {:>6} {:>12} {:>12} {:>14} {:>13}  {:?}",
+            "{:<14} {:>6} {:>12} {:>15} {:>15}  {:?}",
             key,
             format!("({},{})", spec.n, spec.f),
             lat(&sim),
-            lat(&wall),
-            lat(&wired),
-            lat(&pooled),
-            wall.committed_value().expect("good case commits")
+            lat(&one),
+            lat(&many),
+            one.committed_value().expect("good case commits")
         );
     }
 
     println!(
         "\nSame protocols, same specs, same committed values. The simulator's\n\
          latencies are exact multiples of the injected bounds (delta = 2000 us\n\
-         here); the net column is a wall-clock measurement over OS threads —\n\
-         link latency plus scheduler noise, spawn overhead and channel hops;\n\
-         the socket column additionally pays the wire codec and two socket\n\
-         crossings per message, which is the point: its commits prove every\n\
-         message type survives serialization; the async column pays the same\n\
-         wire costs but schedules every party as a state machine on a fixed\n\
-         worker pool — O(workers) threads however large n grows. Trust the\n\
-         simulator for the paper's delta-exact tables; trust the wall\n\
-         backends as evidence the protocols survive real concurrency — and,\n\
-         over sockets, real bytes."
+         here); the wall columns are measurements — link latency plus the\n\
+         wire codec, two socket crossings per message and scheduler noise.\n\
+         Their commits prove every message type survives serialization, on\n\
+         one worker thread and on a pool alike. Trust the simulator for the\n\
+         paper's delta-exact tables; trust the wall runtime as evidence the\n\
+         protocols survive real concurrency and real bytes."
     );
 }

@@ -13,7 +13,8 @@
 //! * [`core`] — the broadcast protocols (async / psync / sync / dishonest
 //!   majority), strawmen, and lower-bound executions.
 //! * [`smr`] — BFT state machine replication on the 2-round engine.
-//! * [`net`] — the threaded wall-clock runtime.
+//! * [`net`] — the wall-clock runtime: real bytes over sockets, all
+//!   parties multiplexed over a readiness loop and a worker pool.
 //!
 //! # Quickstart
 //!
