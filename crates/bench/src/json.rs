@@ -1,19 +1,15 @@
 //! A minimal JSON reader **and the one shared writer** for the bench
 //! trajectory files.
 //!
-//! The container builds offline (no `serde_json`), and the CI smoke job
-//! must detect a malformed `BENCH_sim.json`, so this is a small strict
+//! The container builds offline (no `serde_json`), and the gate must
+//! detect a malformed `BENCH_*.json`, so this is a small strict
 //! recursive-descent parser for the full JSON grammar (including `\uXXXX`
 //! escapes with surrogate pairs). Swap for `serde_json` when a registry
 //! is reachable.
 //!
-//! Every trajectory document the workspace emits — the throughput bin's
-//! `BENCH_sim.json`, the sweep bin's report, and the criterion shim's
-//! `GCL_BENCH_JSON` summaries — is the same *schema-plus-rows* shape and
-//! is rendered by one serializer: [`RowsDoc`]. There used to be two
-//! hand-rolled emitters (`throughput::render_json` and the criterion
-//! shim's writer); they both build a `RowsDoc` now, so the on-disk format
-//! can only drift in one place.
+//! Every trajectory document the workspace emits (`BENCH_sim.json`,
+//! `BENCH_net.json`, `BENCH_smr.json` and the sweep report) is the same
+//! *schema-plus-rows* shape, rendered by one serializer: [`RowsDoc`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -93,9 +89,14 @@ impl Value {
         self.field(k)?.as_f64()
     }
 
-    /// Object member `k` truncated to `u64` (row counters and ns fields).
+    /// Object member `k` as a counter: `None` unless it is a non-negative
+    /// integer that fits a `u64` (so `-3` or `2.5` never reads as a
+    /// measured value).
     pub fn field_u64(&self, k: &str) -> Option<u64> {
-        self.field_f64(k).map(|x| x as u64)
+        let x = self.field_f64(k)?;
+        // Numbers parse as `f64`, so `u64::MAX` itself reads as 2^64
+        // (`u64::MAX as f64`); the cast saturates it back.
+        (x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64).then_some(x as u64)
     }
 
     /// Object member `k` as a boolean.
@@ -141,9 +142,8 @@ impl JVal {
 }
 
 /// Escapes `\`, `"` and every control character (named escapes where JSON
-/// has them, `\u00XX` otherwise) so arbitrary labels — e.g. criterion
-/// bench ids built from any `Display` value — can't produce a document a
-/// conforming parser rejects.
+/// has them, `\u00XX` otherwise) so arbitrary labels can't produce a
+/// document a conforming parser rejects.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -588,6 +588,19 @@ mod tests {
         let rows = v.as_object().unwrap().get("rows").unwrap();
         let row = rows.as_array().unwrap()[0].as_object().unwrap();
         assert_eq!(row.get("name").unwrap().as_str(), Some(hostile));
+    }
+
+    #[test]
+    fn field_u64_reads_only_non_negative_integers() {
+        let v =
+            parse(r#"{"a": 7, "neg": -3, "frac": 2.5, "big": 1e20, "s": "7", "z": 0}"#).unwrap();
+        assert_eq!(v.field_u64("a"), Some(7));
+        assert_eq!(v.field_u64("z"), Some(0));
+        let max = parse(&format!("{{\"m\": {}}}", u64::MAX)).unwrap();
+        assert_eq!(max.field_u64("m"), Some(u64::MAX));
+        for k in ["neg", "frac", "big", "s", "missing"] {
+            assert_eq!(v.field_u64(k), None, "{k} is not a counter");
+        }
     }
 
     #[test]

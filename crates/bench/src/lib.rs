@@ -5,23 +5,25 @@
 //! here), and tables, figures, throughput rows, sweeps and property
 //! suites build [`gcl_sim::ScenarioSpec`] values against that registry.
 //!
-//! Binaries (`cargo run -p gcl_bench --release --bin <name>`):
+//! One binary, `gcl-bench`, runs every measurement
+//! (`cargo run --release -p gcl_bench -- <subcommand>`):
 //!
-//! * `table1` — the complete Table 1 reproduction (paper bound vs measured).
-//! * `fig8` — the Figure 8 latency/communication tradeoff sweep over the
-//!   early-vote grid resolution `m`.
-//! * `lower_bounds` — replays the lower-bound executions and reports which
-//!   strawman broke and which real protocol survived.
-//! * `throughput` — simulator events/sec on the fixed [`throughput`]
-//!   scenarios; writes the repo-root `BENCH_sim.json` trajectory point and
-//!   backs the CI `bench-smoke` regression gate (`--quick --check`).
-//! * `sweep` — the multi-threaded scenario grid: every registered family ×
-//!   shapes × adversary mixes × seeds, audited for safety/validity and
-//!   emitted as a `gcl-bench/sweep/v1` report (CI `sweep-smoke` gate).
+//! * `table1`, `fig8`, `lower-bounds` — print the Table 1 reproduction
+//!   (paper bound vs measured), the Figure 8 latency/communication
+//!   tradeoff over the early-vote grid `m`, and the replayed lower-bound
+//!   executions (which strawman broke, which protocol survived).
+//! * `throughput`, `net`, `smr`, `sweep` — measure and write a trajectory
+//!   document: simulator events/sec plus the event-queue rows
+//!   (`BENCH_sim.json`), wall latency on the async backend
+//!   (`BENCH_net.json`), open-loop SMR serving (`BENCH_smr.json`), and
+//!   the audited scenario grid (`BENCH_sweep.json`). They share three
+//!   flags: `--quick` (the CI smoke shape), `--out PATH`, and
+//!   `--check BASELINE`.
+//! * `diff FRESH [--check BASELINE]` — gate an existing document.
 //!
-//! Criterion benches (`cargo bench -p gcl_bench`) time the same scenarios
-//! as wall-clock simulator throughput; set `GCL_BENCH_JSON=<path>` to get
-//! a machine-readable summary in the same schema-plus-rows format.
+//! Every document passes through one gate, [`diff::gate`]: it checks the
+//! document against its schema's declared audits and coverage and, with
+//! `--check`, diffs it against the baseline's rows and metrics.
 //!
 //! [`conformance`] runs every registered family on the simulator and on
 //! `gcl_net`'s async backend at one worker and at its default pool, and
@@ -59,5 +61,5 @@ pub use netlat::{net_latency_rows, scale_rows, NetLatencyRow};
 pub use scenarios::{
     canonical, fig8_rows, majority_rows, run, table1_rows, Fig8Row, MajorityRow, Table1Row,
 };
-pub use sweep::{default_grid, grid, render_report, validate_report, GridOptions, ReportSummary};
+pub use sweep::{default_grid, grid, render_report, GridOptions};
 pub use throughput::{throughput_rows, ThroughputRow};

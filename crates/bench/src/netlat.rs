@@ -20,27 +20,32 @@
 //! outbound-queue depth, so a backpressure regression is visible in the
 //! trajectory diff. Row identity is `(family, backend, n)`.
 //!
-//! Wall numbers are machine-dependent, so unlike the throughput gate this
-//! file's CI check ([`check_doc`]) validates *shape*, not speed: same
-//! schema, every registered family present per configuration, every scale row
-//! present, every row committed with agreement. Regeneration:
+//! Wall numbers are machine-dependent, so the gate ([`crate::diff::NET`])
+//! holds latency only to 25× of the committed baseline; what it checks
+//! strictly is *shape*: every registered family present per
+//! configuration, every scale row present, every row committed with
+//! agreement. Regeneration:
 //!
 //! ```text
-//! cargo run --release -p gcl_bench --bin net_latency -- --out BENCH_net.json
+//! cargo run --release -p gcl_bench -- net --out BENCH_net.json
 //! ```
 
 use crate::conformance::{wall_backends, wall_spec, WALL_DELTA};
-use crate::json::{parse, JVal, RowsDoc, Value as JsonValue};
+use crate::json::{JVal, RowsDoc};
 use crate::registry;
 use gcl_net::AsyncBackend;
-use gcl_sim::SchedCounters;
+use gcl_sim::{ScenarioSpec, SchedCounters};
 use gcl_types::Duration as SimDuration;
 use std::time::Duration;
 
-/// The `schema` field of every `BENCH_net.json` document. v2: row
-/// identity is `(family, backend, n)` (the async backend measures the
-/// same family at several scales), rows carry scheduler counters.
-pub const NET_SCHEMA: &str = "gcl-bench/net-latency/v2";
+/// Per-run wall deadline of the catalog rows (honest termination exits
+/// early, so the good case never waits it out).
+pub const DEADLINE: Duration = Duration::from_secs(2);
+
+/// Per-run wall deadline of the scale rows: the n = 1024 rows move ~2 M
+/// real frames, so the ceiling is generous; a healthy run exits in
+/// seconds.
+pub const SCALE_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Families measured at scale on the async backend: the pure event-loop
 /// stress (`flood`, `O(n²)` trivial messages) and the crypto-bearing
@@ -77,6 +82,29 @@ pub struct NetLatencyRow {
     pub sched: Option<SchedCounters>,
 }
 
+/// Runs `spec` on `backend` and records it as a `(family, label)` row.
+fn run_row(
+    family: &'static str,
+    label: &'static str,
+    spec: &ScenarioSpec,
+    backend: &AsyncBackend,
+) -> NetLatencyRow {
+    let o = registry()
+        .run_on(spec, backend)
+        .unwrap_or_else(|e| panic!("{family} n={}: {label} run rejected: {e}", spec.n));
+    NetLatencyRow {
+        family,
+        backend: label,
+        n: spec.n,
+        f: spec.f,
+        delta_us: WALL_DELTA.as_micros(),
+        latency_us: o.good_case_latency().map(|d| d.as_micros()),
+        agreement: o.agreement_holds(),
+        messages: o.messages_sent(),
+        sched: o.sched_counters(),
+    }
+}
+
 /// Runs every registered family on every wall configuration (each run
 /// bounded by `deadline`) and reports rows in (family, backend) order.
 pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
@@ -87,22 +115,7 @@ pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
             let spec = wall_spec(reg, key);
             backends
                 .iter()
-                .map(|(label, backend)| {
-                    let o = reg
-                        .run_on(&spec, backend)
-                        .unwrap_or_else(|e| panic!("{key}: {label} run rejected: {e}"));
-                    NetLatencyRow {
-                        family: key,
-                        backend: label,
-                        n: spec.n,
-                        f: spec.f,
-                        delta_us: WALL_DELTA.as_micros(),
-                        latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                        agreement: o.agreement_holds(),
-                        messages: o.messages_sent(),
-                        sched: o.sched_counters(),
-                    }
-                })
+                .map(|(label, backend)| run_row(key, label, &spec, backend))
                 .collect::<Vec<_>>()
         })
         .collect()
@@ -114,7 +127,7 @@ pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
 /// Δ' (tens of ms) would let view timers fire spuriously mid-round.
 /// Timers never fire on the good-case path, so the huge Δ' costs no wall
 /// time.
-pub fn scale_spec(key: &str, n: usize) -> gcl_sim::ScenarioSpec {
+pub fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
     wall_spec(registry(), key)
         .with_shape(n, 1)
         .with_bounds(WALL_DELTA, SimDuration::from_millis(5_000))
@@ -125,36 +138,17 @@ pub fn scale_spec(key: &str, n: usize) -> gcl_sim::ScenarioSpec {
 /// bounded by `deadline` — pass a generous one: the n = 1024 rows move
 /// ~2 M real frames.
 pub fn scale_rows(deadline: Duration) -> Vec<NetLatencyRow> {
-    let reg = registry();
     let backend = AsyncBackend::new().deadline(deadline);
     SCALE_FAMILIES
         .iter()
-        .flat_map(|&key| {
-            SCALE_NS.iter().map(move |&n| {
-                let spec = scale_spec(key, n);
-                let o = reg
-                    .run_on(&spec, &backend)
-                    .unwrap_or_else(|e| panic!("{key} n={n}: async run rejected: {e}"));
-                NetLatencyRow {
-                    family: key,
-                    backend: "async",
-                    n: spec.n,
-                    f: spec.f,
-                    delta_us: WALL_DELTA.as_micros(),
-                    latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                    agreement: o.agreement_holds(),
-                    messages: o.messages_sent(),
-                    sched: o.sched_counters(),
-                }
-            })
-        })
+        .flat_map(|&key| SCALE_NS.map(|n| run_row(key, "async", &scale_spec(key, n), &backend)))
         .collect()
 }
 
 /// Renders rows as the `BENCH_net.json` document ([`RowsDoc`] format, the
 /// same schema-plus-rows shape as every other trajectory file).
 pub fn render_json(rows: &[NetLatencyRow]) -> String {
-    let mut doc = RowsDoc::new(NET_SCHEMA);
+    let mut doc = RowsDoc::new(crate::diff::NET.tag);
     doc.top("delta_us", JVal::U64(WALL_DELTA.as_micros()));
     for r in rows {
         doc.row(vec![
@@ -184,91 +178,25 @@ pub fn render_json(rows: &[NetLatencyRow]) -> String {
     doc.render()
 }
 
-/// Structural CI check of a `BENCH_net.json` document: parseable, right
-/// schema, one committed-with-agreement row per (registered family × wall
-/// configuration), every [`SCALE_FAMILIES`] × [`SCALE_NS`] async scale
-/// row present and committed, and every row carrying scheduler counters. Deliberately **no** latency-regression gate — wall latency
-/// is machine noise across CI runners; the trajectory file exists so
-/// humans (and future tooling pinned to one machine) can diff the
-/// overhead per PR.
-///
-/// # Errors
-///
-/// A human-readable description of the first structural violation.
-pub fn check_doc(text: &str) -> Result<usize, String> {
-    let doc = parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-    check_parsed(&doc)
-}
-
-fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
-    if doc.field_str("schema") != Some(NET_SCHEMA) {
-        return Err(format!(
-            "schema is {:?}, expected {NET_SCHEMA:?}",
-            doc.field_str("schema")
-        ));
-    }
-    let rows = doc
-        .field("rows")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing rows array")?;
-    let reg = registry();
-    // Derive the required column set from the configuration catalog, so
-    // a configuration added to `wall_backends` is automatically *required*
-    // here — measured-but-unchecked rows would defeat the gate.
-    let backends = wall_backends(Duration::from_secs(1)).map(|(label, _)| label);
-    for key in reg.keys() {
-        for backend in backends {
-            let row = rows
-                .iter()
-                .find(|r| {
-                    r.field_str("family") == Some(key) && r.field_str("backend") == Some(backend)
-                })
-                .ok_or_else(|| format!("no row for family {key:?} on backend {backend:?}"))?;
-            row_committed(row, key, backend)?;
-        }
-    }
-    // The scale rows: every (family × n) on the async backend.
-    for key in SCALE_FAMILIES {
-        for n in SCALE_NS {
-            let row = rows
-                .iter()
-                .find(|r| {
-                    r.field_str("family") == Some(key)
-                        && r.field_str("backend") == Some("async")
-                        && r.field_u64("n") == Some(n as u64)
-                })
-                .ok_or_else(|| format!("no async scale row for family {key:?} at n = {n}"))?;
-            row_committed(row, key, "async")?;
-        }
-    }
-    // Every row must carry the worker-pool observability columns.
-    for row in rows {
-        let label = format!(
-            "{}/{}",
-            row.field_str("family").unwrap_or("?"),
-            row.field_str("backend").unwrap_or("?")
-        );
-        match row.field_u64("workers") {
-            Some(w) if w >= 1 => {}
-            _ => return Err(format!("{label}: missing worker-pool size")),
-        }
-        if row.field_u64("wakeups").is_none() {
-            return Err(format!("{label}: missing readiness-wakeup count"));
-        }
-    }
-    Ok(rows.len())
-}
-
-fn row_committed(row: &JsonValue, key: &str, backend: &str) -> Result<(), String> {
-    if row.field_bool("agreement") != Some(true) {
-        return Err(format!("{key}/{backend}: agreement violated"));
-    }
-    if row.field_u64("latency_us").is_none() {
-        return Err(format!(
-            "{key}/{backend}: no good-case latency (liveness failure)"
-        ));
-    }
-    Ok(())
+/// The rows every `BENCH_net.json` must contain (the [`crate::diff::NET`]
+/// coverage rule): each registered family on each [`wall_backends`]
+/// label, so a configuration added there is automatically required, and
+/// each [`SCALE_FAMILIES`] × [`SCALE_NS`] point on the default pool.
+pub(crate) fn required_rows() -> Vec<Vec<(&'static str, String)>> {
+    let labels = wall_backends(DEADLINE).map(|(label, _)| label);
+    let catalog = registry().keys().flat_map(|key| {
+        labels.map(|label| vec![("family", key.to_string()), ("backend", label.to_string())])
+    });
+    let scale = SCALE_FAMILIES.iter().flat_map(|key| {
+        SCALE_NS.map(|n| {
+            vec![
+                ("family", key.to_string()),
+                ("backend", "async".to_string()),
+                ("n", n.to_string()),
+            ]
+        })
+    });
+    catalog.chain(scale).collect()
 }
 
 #[cfg(test)]
@@ -278,7 +206,7 @@ mod tests {
     #[test]
     fn rendered_rows_pass_their_own_check() {
         // Two fast families keep the unit test cheap; the full-catalog
-        // document is exercised by the net_latency bin and its CI job.
+        // document is exercised by `gcl-bench net` and its CI job.
         let reg = registry();
         let backends = wall_backends(Duration::from_secs(2));
         let rows: Vec<NetLatencyRow> = ["brb2", "one_round_brb"]
@@ -287,29 +215,15 @@ mod tests {
                 let spec = wall_spec(reg, key);
                 backends
                     .iter()
-                    .map(|(label, b)| {
-                        let o = reg.run_on(&spec, b).unwrap();
-                        NetLatencyRow {
-                            family: reg.family(key).unwrap().key(),
-                            backend: label,
-                            n: spec.n,
-                            f: spec.f,
-                            delta_us: WALL_DELTA.as_micros(),
-                            latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                            agreement: o.agreement_holds(),
-                            messages: o.messages_sent(),
-                            sched: o.sched_counters(),
-                        }
-                    })
+                    .map(|(label, b)| run_row(key, label, &spec, b))
                     .collect::<Vec<_>>()
             })
             .collect();
         let doc = render_json(&rows);
-        let parsed = parse(&doc).expect("well-formed");
-        assert_eq!(parsed.field_str("schema"), Some(NET_SCHEMA));
-        // The partial document fails the full-catalog check (families are
-        // missing), which is exactly what the check is for.
-        assert!(check_doc(&doc).is_err(), "partial catalog must be rejected");
+        // The partial document fails the full-catalog coverage rule
+        // (families are missing), which is exactly what the rule is for.
+        let err = crate::diff::gate(&doc, None).unwrap_err();
+        assert!(err.contains("no row with family="), "{err}");
         // Each measured row carries a latency at or above the single-hop
         // floor, and scheduler counters.
         for r in &rows {
@@ -355,14 +269,14 @@ mod tests {
     fn check_requires_scale_rows_and_async_counters() {
         // Synthesize a full catalog without running anything: every
         // (family × configuration) row present and committed, but no
-        // scale rows — the v2 gate must reject it.
+        // scale rows — the gate must reject it.
         let reg = registry();
-        let backends = wall_backends(Duration::from_secs(1)).map(|(label, _)| label);
-        let catalog_row = |key: &str, backend: &str, sched: bool| {
+        let backends = wall_backends(DEADLINE).map(|(label, _)| label);
+        let row = |key: &str, backend: &str, n: usize, sched: bool| {
             vec![
                 ("family", JVal::Str(key.into())),
                 ("backend", JVal::Str(backend.into())),
-                ("n", JVal::U64(4)),
+                ("n", JVal::U64(n as u64)),
                 ("f", JVal::U64(1)),
                 ("latency_us", JVal::U64(5_000)),
                 ("agreement", JVal::Bool(true)),
@@ -370,44 +284,53 @@ mod tests {
                 ("wakeups", if sched { JVal::U64(9) } else { JVal::Null }),
             ]
         };
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        for key in reg.keys() {
-            for backend in backends {
-                doc.row(catalog_row(key, backend, true));
+        let catalog = || {
+            let mut doc = RowsDoc::new(crate::diff::NET.tag);
+            for key in reg.keys() {
+                for backend in backends {
+                    doc.row(row(key, backend, 4, true));
+                }
             }
-        }
-        let err = check_doc(&doc.render()).unwrap_err();
-        assert!(err.contains("scale row"), "{err}");
+            doc
+        };
+        let err = crate::diff::gate(&catalog().render(), None).unwrap_err();
+        assert!(
+            err.contains("no row with family=flood backend=async n=256"),
+            "{err}"
+        );
 
-        // With the scale rows present but an async row missing its
-        // counters, the observability gate fires.
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        for key in reg.keys() {
-            for backend in backends {
-                doc.row(catalog_row(key, backend, true));
+        // With the scale rows present the document passes; with an async
+        // row missing its counters, the observability gate fires.
+        let with_scale = |missing_counters: usize| {
+            let mut doc = catalog();
+            for key in SCALE_FAMILIES {
+                for n in SCALE_NS {
+                    doc.row(row(key, "async", n, n != missing_counters));
+                }
             }
-        }
-        for key in SCALE_FAMILIES {
-            for n in SCALE_NS {
-                let mut row = catalog_row(key, "async", n != 512);
-                row[2] = ("n", JVal::U64(n as u64));
-                doc.row(row);
-            }
-        }
-        let err = check_doc(&doc.render()).unwrap_err();
-        assert!(err.contains("worker-pool size"), "{err}");
+            doc.render()
+        };
+        crate::diff::gate(&with_scale(0), None).expect("full catalog with scale rows");
+        let err = crate::diff::gate(&with_scale(512), None).unwrap_err();
+        assert!(
+            err.contains("[family=flood backend=async n=512]: wakeups is not a counter"),
+            "{err}"
+        );
     }
 
     #[test]
     fn check_rejects_malformed_documents() {
-        assert!(check_doc("not json").is_err());
-        assert!(check_doc("{\"schema\": \"other/v9\", \"rows\": []}").is_err());
+        let gate = |doc: &str| crate::diff::gate(doc, None);
+        assert!(gate("not json").unwrap_err().contains("malformed JSON"));
+        assert!(gate("{\"schema\": \"other/v9\", \"rows\": []}").is_err());
         assert!(
-            check_doc("{\"schema\": \"gcl-bench/net-latency/v1\", \"rows\": []}").is_err(),
+            gate("{\"schema\": \"gcl-bench/net-latency/v1\", \"rows\": []}")
+                .unwrap_err()
+                .contains("unknown trajectory schema"),
             "v1 documents no longer pass the v2 gate"
         );
-        let empty = format!("{{\"schema\": \"{NET_SCHEMA}\", \"rows\": []}}");
-        let err = check_doc(&empty).unwrap_err();
-        assert!(err.contains("no row for family"), "{err}");
+        let empty = format!("{{\"schema\": \"{}\", \"rows\": []}}", crate::diff::NET.tag);
+        let err = gate(&empty).unwrap_err();
+        assert!(err.contains("no row with family="), "{err}");
     }
 }

@@ -1,10 +1,7 @@
 //! The measured scenarios behind every table/figure row — all built from
 //! registry [`ScenarioSpec`]s.
 //!
-//! Until PR 3 this module hand-wired one `run_*` function per protocol
-//! (534 lines of builder glue, duplicated again in `throughput.rs`, four
-//! criterion benches, the examples and the integration suites). Every
-//! consumer now goes through [`crate::registry`]: a row is a spec plus
+//! Every consumer goes through [`crate::registry`]: a row is a spec plus
 //! presentation metadata, and adding a protocol variant is **one**
 //! `register_fn` in its `gcl_core` module.
 

@@ -36,18 +36,19 @@
 //! leader rotation intact, including a failover row that kills the
 //! initial leader mid-stream.
 //!
-//! Wall numbers are machine-dependent, so the CI gate ([`check_doc`])
-//! validates *structure*, not speed: right schema, at least three
-//! distinct `(batch, pipeline)` configurations, a failover row, and
+//! Wall numbers are machine-dependent, so the gate ([`crate::diff::SMR`])
+//! holds rates and latencies only to 25× of the committed baseline; what
+//! it checks strictly is *structure*: at least three distinct
+//! `(batch, pipeline)` configurations, a failover row, a scale row, and
 //! every row committed with agreement, a measured p50, and a passing
 //! exactly-once audit. Regeneration:
 //!
 //! ```text
-//! cargo run --release -p gcl_bench --bin smr_load -- --out BENCH_smr.json
+//! cargo run --release -p gcl_bench -- smr --out BENCH_smr.json
 //! ```
 
 use crate::conformance::{wall_spec, WALL_DELTA};
-use crate::json::{parse, JVal, RowsDoc, Value as JsonValue};
+use crate::json::{JVal, RowsDoc};
 use crate::registry;
 use gcl_crypto::Keychain;
 use gcl_net::{AsyncBackend, ClientHandle};
@@ -59,11 +60,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// The `schema` field of every `BENCH_smr.json` document. v3: every row
-/// names its serving backend, and the `(24, 5)` scale rows (with a
-/// leader-crash failover variant) join the grid.
-pub const SMR_SCHEMA: &str = "gcl-bench/smr-load/v3";
 
 /// The `backend` column of every row: the serving backend's name.
 pub const SERVE_BACKEND: &str = "async";
@@ -508,7 +504,7 @@ pub fn smr_load_rows(opts: LoadOptions) -> Vec<SmrLoadRow> {
 
 /// Renders rows as the `BENCH_smr.json` document ([`RowsDoc`] format).
 pub fn render_json(rows: &[SmrLoadRow]) -> String {
-    let mut doc = RowsDoc::new(SMR_SCHEMA);
+    let mut doc = RowsDoc::new(crate::diff::SMR.tag);
     doc.top("delta_us", JVal::U64(WALL_DELTA.as_micros()));
     for r in rows {
         doc.row(vec![
@@ -539,116 +535,6 @@ pub fn render_json(rows: &[SmrLoadRow]) -> String {
         ]);
     }
     doc.render()
-}
-
-/// Structural CI check of a `BENCH_smr.json` document: parseable, right
-/// schema, at least three distinct `(batch, pipeline)` configurations, a
-/// leader-failover row, a scale row at `n ≥ 16`, and every row (named by
-/// its serving backend) committed traffic with agreement, a
-/// measured ack median, and a passing exactly-once audit. Deliberately
-/// **no** rate or latency gate — wall numbers are machine noise across CI
-/// runners; the trajectory file exists so humans can diff the serving
-/// envelope per PR.
-///
-/// # Errors
-///
-/// A human-readable description of the first structural violation.
-pub fn check_doc(text: &str) -> Result<usize, String> {
-    let doc = parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-    check_parsed(&doc)
-}
-
-fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
-    if doc.field_str("schema") != Some(SMR_SCHEMA) {
-        return Err(format!(
-            "schema is {:?}, expected {SMR_SCHEMA:?}",
-            doc.field_str("schema")
-        ));
-    }
-    let rows = doc
-        .field("rows")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing rows array")?;
-    let mut configs = Vec::new();
-    let mut failover_rows = 0usize;
-    let mut scale_rows = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        if row.field_str("backend").is_none() {
-            return Err(format!("row {i}: missing serving backend"));
-        }
-        let batch = row
-            .field_u64("batch")
-            .ok_or_else(|| format!("row {i}: missing batch"))?;
-        let pipeline = row
-            .field_u64("pipeline")
-            .ok_or_else(|| format!("row {i}: missing pipeline"))?;
-        let crashes = row
-            .field_u64("crashes")
-            .ok_or_else(|| format!("row {i}: missing crashes"))?;
-        if row.field_bool("agreement") != Some(true) {
-            return Err(format!(
-                "row {i} (batch {batch}, pipeline {pipeline}): agreement violated"
-            ));
-        }
-        match row.field_u64("committed") {
-            Some(c) if c > 0 => {}
-            _ => {
-                return Err(format!(
-                    "row {i} (batch {batch}, pipeline {pipeline}): no committed requests"
-                ))
-            }
-        }
-        match row.field_u64("acked") {
-            Some(a) if a > 0 => {}
-            _ => {
-                return Err(format!(
-                    "row {i} (batch {batch}, pipeline {pipeline}): no acknowledged requests"
-                ))
-            }
-        }
-        if row.field_bool("exactly_once") != Some(true) {
-            return Err(format!(
-                "row {i} (batch {batch}, pipeline {pipeline}): exactly-once audit failed"
-            ));
-        }
-        if row.field_bool("acked_applied") != Some(true) {
-            return Err(format!(
-                "row {i} (batch {batch}, pipeline {pipeline}): an acked command was never applied"
-            ));
-        }
-        if row.field_u64("p50_us").is_none() {
-            return Err(format!(
-                "row {i} (batch {batch}, pipeline {pipeline}): no measured p50 ack latency"
-            ));
-        }
-        if row.field_u64("mp_admitted").is_none() {
-            return Err(format!(
-                "row {i} (batch {batch}, pipeline {pipeline}): missing mempool counters"
-            ));
-        }
-        if crashes >= 1 {
-            failover_rows += 1;
-        }
-        if row.field_u64("n").is_some_and(|n| n >= 16) {
-            scale_rows += 1;
-        }
-        if !configs.contains(&(batch, pipeline)) {
-            configs.push((batch, pipeline));
-        }
-    }
-    if configs.len() < 3 {
-        return Err(format!(
-            "only {} distinct (batch, pipeline) configurations; need >= 3",
-            configs.len()
-        ));
-    }
-    if failover_rows == 0 {
-        return Err("no leader-failover row (crashes >= 1)".to_string());
-    }
-    if scale_rows == 0 {
-        return Err("no serving row at scale (n >= 16)".to_string());
-    }
-    Ok(rows.len())
 }
 
 #[cfg(test)]
@@ -710,9 +596,9 @@ mod tests {
             assert!(r.p99_us.unwrap() >= r.p95_us.unwrap());
             assert!(r.mempool.admitted > 0, "probe admitted no commands");
         }
-        let doc = render_json(&rows);
-        let n = check_doc(&doc).expect("fresh rows pass the structural gate");
-        assert_eq!(n, 5);
+        let summary =
+            crate::diff::gate(&render_json(&rows), None).expect("fresh rows pass the gate");
+        assert!(summary.starts_with("5 rows pass"), "{summary}");
     }
 
     #[test]
@@ -795,56 +681,64 @@ mod tests {
 
     #[test]
     fn check_rejects_malformed_documents() {
-        assert!(check_doc("not json").is_err());
-        assert!(check_doc("{\"schema\": \"other/v9\", \"rows\": []}").is_err());
+        let gate = |doc: &str| crate::diff::gate(doc, None);
+        assert!(gate("not json").unwrap_err().contains("malformed JSON"));
+        assert!(gate("{\"schema\": \"other/v9\", \"rows\": []}").is_err());
         assert!(
-            check_doc("{\"schema\": \"gcl-bench/smr-load/v2\", \"rows\": []}").is_err(),
+            gate("{\"schema\": \"gcl-bench/smr-load/v2\", \"rows\": []}")
+                .unwrap_err()
+                .contains("unknown trajectory schema"),
             "v2 documents no longer pass the v3 gate"
         );
-        let empty = format!("{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": []}}");
-        let err = check_doc(&empty).unwrap_err();
+        let doc = |rows: &[String]| {
+            format!(
+                "{{\"schema\": \"{}\", \"rows\": [{}]}}",
+                crate::diff::SMR.tag,
+                rows.join(", ")
+            )
+        };
+        let err = gate(&doc(&[])).unwrap_err();
         assert!(err.contains("configurations"), "{err}");
+        // Three configurations, a failover row and a scale row, each
+        // passing every audit.
+        let row = |batch: u64, pipeline: u64, n: u64, crashes: u64| {
+            format!(
+                "{{\"backend\": \"async\", \"batch\": {batch}, \"pipeline\": {pipeline}, \
+                 \"n\": {n}, \"f\": 1, \"crashes\": {crashes}, \"agreement\": true, \
+                 \"committed\": 5, \"acked\": 5, \"exactly_once\": true, \
+                 \"acked_applied\": true, \"commits_per_sec\": 900.0, \
+                 \"p50_us\": 9000, \"mp_admitted\": 5}}"
+            )
+        };
+        let full = vec![
+            row(1, 4, 4, 0),
+            row(4, 4, 4, 1),
+            row(8, 8, 4, 0),
+            row(4, 4, 24, 0),
+        ];
+        gate(&doc(&full)).expect("a full-shape document passes");
+        let with = |i: usize, edit: &dyn Fn(&str) -> String| {
+            let mut rows = full.clone();
+            rows[i] = edit(&rows[i]);
+            doc(&rows)
+        };
         // A row that never committed is a liveness failure, not a shape
         // variation.
-        let dead = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"async\", \
-             \"batch\": 1, \"pipeline\": 1, \"crashes\": 0, \"agreement\": true, \
-             \"committed\": 0}}]}}"
-        );
-        let err = check_doc(&dead).unwrap_err();
-        assert!(err.contains("no committed requests"), "{err}");
+        let dead = with(0, &|r| r.replace("\"committed\": 5", "\"committed\": 0"));
+        let err = gate(&dead).unwrap_err();
+        assert!(err.contains("committed is not positive"), "{err}");
         // A failed exactly-once audit must be fatal even with traffic.
-        let dup = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"async\", \
-             \"batch\": 1, \"pipeline\": 1, \"crashes\": 1, \"agreement\": true, \
-             \"committed\": 5, \"acked\": 5, \"exactly_once\": false}}]}}"
-        );
-        let err = check_doc(&dup).unwrap_err();
-        assert!(err.contains("exactly-once"), "{err}");
+        let dup = with(1, &|r| {
+            r.replace("\"exactly_once\": true", "\"exactly_once\": false")
+        });
+        let err = gate(&dup).unwrap_err();
+        assert!(err.contains("exactly_once is not true"), "{err}");
         // A v2-shaped row (no backend column) is structural drift.
-        let anon = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"batch\": 1, \
-             \"pipeline\": 1, \"crashes\": 0, \"agreement\": true, \"committed\": 5}}]}}"
-        );
-        let err = check_doc(&anon).unwrap_err();
-        assert!(err.contains("missing serving backend"), "{err}");
+        let anon = with(0, &|r| r.replace("\"backend\": \"async\", ", ""));
+        let err = gate(&anon).unwrap_err();
+        assert!(err.contains("missing identity column \"backend\""), "{err}");
         // A document with (4, 1) rows only lacks the scale row.
-        let small_only = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [\
-             {{\"backend\": \"async\", \"batch\": 1, \"pipeline\": 4, \"n\": 4, \
-              \"crashes\": 0, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}, \
-             {{\"backend\": \"async\", \"batch\": 4, \"pipeline\": 4, \"n\": 4, \
-              \"crashes\": 1, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}, \
-             {{\"backend\": \"async\", \"batch\": 8, \"pipeline\": 8, \"n\": 4, \
-              \"crashes\": 0, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}]}}"
-        );
-        let err = check_doc(&small_only).unwrap_err();
-        assert!(err.contains("serving row at scale"), "{err}");
+        let err = gate(&doc(&full[..3])).unwrap_err();
+        assert!(err.contains("no row with n >= 16"), "{err}");
     }
 }

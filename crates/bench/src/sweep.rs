@@ -7,10 +7,10 @@
 //! The grid is where the paper's *complete categorization* claim gets
 //! exercised in bulk: every timing model × resilience band, not one
 //! hand-picked point per table row. A cell that violates agreement or
-//! (conditional) validity is a red build — the `sweep` binary and the CI
-//! `sweep-smoke` job both fail on it.
+//! (conditional) validity is a red build: the [`crate::diff::SWEEP`] gate
+//! fails `gcl-bench sweep`, and with it the CI `sweep-smoke` job.
 
-use crate::json::{parse, JVal, RowsDoc, Value};
+use crate::json::{JVal, RowsDoc};
 use crate::registry;
 use gcl_sim::{AdversaryMix, DelayChoice, ScenarioSpec, Sweep, SweepReport};
 use gcl_types::Duration;
@@ -137,18 +137,24 @@ pub fn default_grid(quick: bool) -> Vec<ScenarioSpec> {
     })
 }
 
-/// Runs the default grid with derived per-cell seeds.
-pub fn run_default(quick: bool, threads: usize, base_seed: u64) -> SweepReport {
+/// Base seed of the default sweep; per-cell seeds derive from it.
+pub const BASE_SEED: u64 = 1;
+
+/// Runs the default grid with per-cell seeds derived from [`BASE_SEED`],
+/// on every available core but at least 4 threads, so a smoke run
+/// exercises real concurrency.
+pub fn run_default(quick: bool) -> SweepReport {
+    let threads = std::thread::available_parallelism().map_or(4, usize::from);
     Sweep::new(registry())
         .cells(default_grid(quick))
-        .threads(threads)
-        .seed(base_seed)
+        .threads(threads.max(4))
+        .seed(BASE_SEED)
         .run()
 }
 
 /// Renders a sweep report as the `gcl-bench/sweep/v1` document.
 pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String {
-    let mut doc = RowsDoc::new("gcl-bench/sweep/v1");
+    let mut doc = RowsDoc::new(crate::diff::SWEEP.tag);
     let opt_u64 = |v: Option<u64>| v.map_or(JVal::Null, JVal::U64);
     doc.top("mode", JVal::Str(mode.to_string()))
         .top("base_seed", JVal::U64(base_seed))
@@ -197,90 +203,6 @@ pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String
     doc.render()
 }
 
-/// What [`validate_report`] extracts from a well-formed report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportSummary {
-    /// Total grid cells.
-    pub cells: usize,
-    /// Cells that ran.
-    pub cells_run: usize,
-    /// Cells where agreement was violated.
-    pub safety_violations: usize,
-    /// Cells where the validity audit failed.
-    pub validity_violations: usize,
-}
-
-/// Parses and structurally validates a `gcl-bench/sweep/v1` document:
-/// schema, per-row fields, and header/row violation-count consistency.
-///
-/// # Errors
-///
-/// A human-readable description of the first structural problem.
-pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
-    let doc = parse(text)?;
-    doc.as_object().ok_or("top level must be an object")?;
-    let schema = doc.field_str("schema").ok_or("missing schema")?;
-    if schema != "gcl-bench/sweep/v1" {
-        return Err(format!("unknown schema {schema:?}"));
-    }
-    let top_u64 = |k: &str| -> Result<u64, String> {
-        doc.field_u64(k)
-            .ok_or_else(|| format!("missing numeric header field {k:?}"))
-    };
-    let rows = doc
-        .field("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing rows array")?;
-    if rows.is_empty() {
-        return Err("empty sweep: no cells".into());
-    }
-    let mut run = 0usize;
-    let mut safety = 0usize;
-    let mut validity = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        row.as_object()
-            .ok_or_else(|| format!("row {i} not an object"))?;
-        for key in ["cell", "family"] {
-            if row.field_str(key).is_none() {
-                return Err(format!("row {i} missing string field {key:?}"));
-            }
-        }
-        for key in ["n", "f", "seed", "events", "messages", "peak_queue"] {
-            if row.field_f64(key).is_none() {
-                return Err(format!("row {i} missing numeric field {key:?}"));
-            }
-        }
-        let flag = |key: &str| -> Result<bool, String> {
-            row.field_bool(key)
-                .ok_or_else(|| format!("row {i} missing boolean field {key:?}"))
-        };
-        if !flag("agreement")? {
-            safety += 1;
-        }
-        if !flag("validity")? {
-            validity += 1;
-        }
-        flag("committed")?;
-        if row.field("skipped").is_none() {
-            run += 1;
-        }
-    }
-    let summary = ReportSummary {
-        cells: rows.len(),
-        cells_run: run,
-        safety_violations: safety,
-        validity_violations: validity,
-    };
-    if top_u64("cells")? as usize != summary.cells
-        || top_u64("cells_run")? as usize != summary.cells_run
-        || top_u64("safety_violations")? as usize != summary.safety_violations
-        || top_u64("validity_violations")? as usize != summary.validity_violations
-    {
-        return Err("header counters disagree with rows".into());
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,25 +245,39 @@ mod tests {
         assert_eq!(report.safety_violations().count(), 0, "sweep must be safe");
         assert_eq!(report.validity_violations().count(), 0);
         let text = render_report(&report, "test", 7);
-        let summary = validate_report(&text).expect("well-formed report");
-        assert_eq!(summary.cells, report.cells.len());
-        assert_eq!(summary.cells_run, report.cells_run());
-        assert_eq!(summary.safety_violations, 0);
+        let summary = crate::diff::gate(&text, None).expect("well-formed report");
+        assert!(
+            summary.starts_with(&format!("{} rows pass", report.cells.len())),
+            "{summary}"
+        );
     }
 
     #[test]
     fn validate_rejects_malformed_and_inconsistent() {
-        assert!(validate_report("{").is_err());
-        assert!(validate_report("{\"schema\": \"nope\", \"rows\": []}").is_err());
+        let gate = |doc: &str| crate::diff::gate(doc, None);
+        assert!(gate("{").unwrap_err().contains("malformed JSON"));
+        assert!(gate("{\"schema\": \"nope\", \"rows\": []}").is_err());
+        let err = gate("{\"schema\": \"gcl-bench/sweep/v1\", \"rows\": []}").unwrap_err();
         assert!(
-            validate_report("{\"schema\": \"gcl-bench/sweep/v1\", \"rows\": []}").is_err(),
-            "empty sweep rejected"
+            err.contains("need at least 1"),
+            "empty sweep rejected: {err}"
         );
         // A row missing its audit flags is malformed.
-        let bad = "{\"schema\": \"gcl-bench/sweep/v1\", \"cells\": 1, \"cells_run\": 1, \
-                   \"safety_violations\": 0, \"validity_violations\": 0, \
-                   \"rows\": [{\"cell\": \"x\", \"family\": \"y\", \"n\": 4, \"f\": 1, \
-                   \"seed\": 0, \"events\": 1, \"messages\": 1, \"peak_queue\": 1}]}";
-        assert!(validate_report(bad).unwrap_err().contains("agreement"));
+        let report = |cells: u64, flags: &str| {
+            format!(
+                "{{\"schema\": \"gcl-bench/sweep/v1\", \"cells\": {cells}, \"cells_run\": 1, \
+                 \"safety_violations\": 0, \"validity_violations\": 0, \
+                 \"rows\": [{{\"cell\": \"x\", \"family\": \"y\", \"n\": 4, \"f\": 1, \
+                 \"seed\": 0, \"committed\": true, \"events\": 1, \"messages\": 1, \
+                 \"peak_queue\": 1{flags}}}]}}"
+            )
+        };
+        let err = gate(&report(1, "")).unwrap_err();
+        assert!(err.contains("agreement"), "{err}");
+        let flags = ", \"agreement\": true, \"validity\": true";
+        gate(&report(1, flags)).expect("a consistent one-cell report");
+        // Header counts that disagree with the rows are inconsistent.
+        let err = gate(&report(2, flags)).unwrap_err();
+        assert!(err.contains("header cells disagrees"), "{err}");
     }
 }

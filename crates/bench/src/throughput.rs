@@ -2,14 +2,15 @@
 //!
 //! Every number the workspace produces flows through the event loop in
 //! `gcl_sim`, so events/second on these fixed scenarios is the ceiling on
-//! how many executions (and how large an `n`) the repo can explore. The
-//! `throughput` binary measures them and emits `BENCH_sim.json` at the repo
-//! root; CI re-measures in `--quick` mode and fails on a >3x regression
-//! against the committed baseline.
+//! how many executions (and how large an `n`) the repo can explore.
+//! `gcl-bench throughput` measures them and emits `BENCH_sim.json` at the
+//! repo root; CI re-measures in `--quick` mode and fails on a >3x
+//! regression against the committed baseline ([`crate::diff::SIM`]).
 //!
 //! The measured scenarios are registry specs like everything else
-//! (see [`rows_under_measure`]); this module also registers the two
-//! bench-owned families:
+//! (see [`rows_under_measure`]), plus two rows that drive the event queue
+//! alone ([`queue_row`]). This module also registers the two bench-owned
+//! families:
 //!
 //! * `flood` — all-to-all flood: every party multicasts once, commits
 //!   after hearing from everyone. Pure hot-loop stress (`O(n²)` messages,
@@ -106,7 +107,7 @@ pub(crate) fn register(reg: &mut ScenarioRegistry) {
 }
 
 /// One measured scenario of the throughput trajectory.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThroughputRow {
     /// Stable scenario key (the regression check joins on it).
     pub scenario: String,
@@ -145,9 +146,6 @@ pub struct ThroughputRow {
     pub reps: u32,
 }
 
-/// Schema tag of the `BENCH_sim.json` document.
-pub const SIM_SCHEMA: &str = "gcl-bench/sim-throughput/v2";
-
 /// Minimum cumulative measured wall time per scenario: microsecond-scale
 /// runs repeat until this floor so a single scheduler hiccup on a noisy CI
 /// runner can't masquerade as a 3x regression.
@@ -176,74 +174,99 @@ pub fn rows_under_measure() -> Vec<(&'static str, ScenarioSpec)> {
     ]
 }
 
+/// Runs `once` at least `min_reps` times, and on up to the cumulative
+/// wall-time floor; returns the best wall time in ns, the repetitions
+/// run, and the last run's result.
+fn best_of<T>(min_reps: u32, mut once: impl FnMut() -> T) -> (u64, u32, T) {
+    let (mut best_ns, mut total_ns, mut reps) = (u64::MAX, 0u64, 0);
+    loop {
+        let start = Instant::now();
+        let out = once();
+        let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        best_ns = best_ns.min(ns.max(1));
+        total_ns = total_ns.saturating_add(ns);
+        reps += 1;
+        if reps >= min_reps && (total_ns >= MIN_TOTAL_NS || reps >= MAX_REPS) {
+            return (best_ns, reps, out);
+        }
+    }
+}
+
 /// Measures one spec under a stable scenario key: best-of-`min_reps`
 /// wall time (repeating up to the cumulative floor), with the row's
 /// `(n, f)` taken from the spec itself.
 pub fn measure(scenario: &str, spec: &ScenarioSpec, min_reps: u32) -> ThroughputRow {
     let probe = gcl_crypto::VerifyProbe::global();
-    let mut best_ns = u64::MAX;
-    let mut total_ns: u64 = 0;
-    let mut reps = 0;
-    let mut events = 0;
-    let mut messages = 0;
-    let mut peak_queue = 0;
-    let mut queue_bytes = 0;
-    let mut drops_at_enqueue = 0;
-    let mut verify_macs = 0;
-    let mut verify_hits = 0;
-    while reps < min_reps || (total_ns < MIN_TOTAL_NS && reps < MAX_REPS) {
-        // Verifiers flush their counters to the global probe when the
-        // run's protocol instances drop, i.e. before `run` returns; the
-        // per-rep delta is the run's crypto work. (Deltas are only exact
-        // when runs are sequential, which the bench binary guarantees.)
-        let macs0 = probe.macs();
-        let hits0 = probe.hits();
-        let start = Instant::now();
+    // Verifiers flush their counters to the global probe when the run's
+    // protocol instances drop, i.e. before `run` returns; the per-rep
+    // delta is the run's crypto work. (Deltas are only exact when runs
+    // are sequential, which the bench binary guarantees.)
+    let (wall_ns, reps, (o, verify_macs, verify_hits)) = best_of(min_reps, || {
+        let (macs0, hits0) = (probe.macs(), probe.hits());
         let o = crate::scenarios::run(spec);
-        let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        events = o.events_processed();
-        messages = o.messages_sent();
-        peak_queue = o.peak_queue_depth() as u64;
-        queue_bytes = o.queue_bytes();
-        drops_at_enqueue = o.drops_at_enqueue();
-        verify_macs = probe.macs().saturating_sub(macs0);
-        verify_hits = probe.hits().saturating_sub(hits0);
-        best_ns = best_ns.min(ns.max(1));
-        total_ns = total_ns.saturating_add(ns);
-        reps += 1;
-    }
+        let macs = probe.macs().saturating_sub(macs0);
+        (o, macs, probe.hits().saturating_sub(hits0))
+    });
     ThroughputRow {
         scenario: scenario.to_string(),
         n: spec.n,
         f: spec.f,
-        events,
-        messages,
-        peak_queue,
-        queue_bytes,
-        drops_at_enqueue,
-        wall_ns: best_ns,
-        events_per_sec: events as f64 * 1e9 / best_ns as f64,
+        events: o.events_processed(),
+        messages: o.messages_sent(),
+        peak_queue: o.peak_queue_depth() as u64,
+        queue_bytes: o.queue_bytes(),
+        drops_at_enqueue: o.drops_at_enqueue(),
+        wall_ns,
+        events_per_sec: o.events_processed() as f64 * 1e9 / wall_ns as f64,
         verify_macs,
         verify_hits,
         reps,
     }
 }
 
-/// Measures every scenario. `quick` (the CI smoke mode) requires one
-/// repetition per scenario; the full mode at least three. Either way,
-/// sub-millisecond scenarios repeat up to the cumulative wall-time floor.
+/// Measures [`gcl_sim::queue_stress`]: the calendar queue alone on a
+/// deterministic mixed near/far push/pop workload of `events` events at
+/// bucket width `delta_us` (1 µs: one event per slot; 100 µs: slot reuse
+/// plus regular far-tier spills), so a queue-only change shows up without
+/// protocol noise. Only `events`, `wall_ns`, `events_per_sec` and `reps`
+/// are measured; the protocol counters read 0.
+pub fn queue_row(scenario: &str, events: usize, delta_us: u64, min_reps: u32) -> ThroughputRow {
+    let (wall_ns, reps, _) = best_of(min_reps, || {
+        std::hint::black_box(gcl_sim::queue_stress(
+            std::hint::black_box(events),
+            delta_us,
+        ))
+    });
+    ThroughputRow {
+        scenario: scenario.to_string(),
+        events: events as u64,
+        wall_ns,
+        events_per_sec: events as f64 * 1e9 / wall_ns as f64,
+        reps,
+        ..ThroughputRow::default()
+    }
+}
+
+/// Measures every scenario and the two event-queue rows. `quick` (the CI
+/// smoke mode) requires one repetition per scenario and drives 100k queue
+/// events; the full mode at least three repetitions and 1M events (several
+/// full ring wraps at δ = 1 µs). Either way, sub-millisecond scenarios
+/// repeat up to the cumulative wall-time floor.
 pub fn throughput_rows(quick: bool) -> Vec<ThroughputRow> {
-    let reps = if quick { 1 } else { 3 };
-    rows_under_measure()
+    let (reps, events) = if quick { (1, 100_000) } else { (3, 1_000_000) };
+    let mut rows: Vec<ThroughputRow> = rows_under_measure()
         .iter()
         .map(|(key, spec)| measure(key, spec, reps))
-        .collect()
+        .collect();
+    rows.push(queue_row("queue_stress_delta1us", events, 1, reps));
+    rows.push(queue_row("queue_stress_delta100us", events, 100, reps));
+    rows
 }
 
 /// Renders rows as the `BENCH_sim.json` document (via the shared
 /// [`RowsDoc`] serializer).
 pub fn render_json(rows: &[ThroughputRow], mode: &str) -> String {
-    let mut doc = RowsDoc::new(SIM_SCHEMA);
+    let mut doc = RowsDoc::new(crate::diff::SIM.tag);
     doc.top("mode", JVal::Str(mode.to_string()));
     for r in rows {
         doc.row(vec![
@@ -265,78 +288,6 @@ pub fn render_json(rows: &[ThroughputRow], mode: &str) -> String {
     doc.render()
 }
 
-/// Parses a `BENCH_sim.json` document back into rows (used by the CI
-/// regression check; any structural problem is an `Err`).
-pub fn parse_json(text: &str) -> Result<Vec<ThroughputRow>, String> {
-    let doc = crate::json::parse(text)?;
-    doc.as_object().ok_or("top level must be an object")?;
-    let schema = doc.field_str("schema").ok_or("missing schema")?;
-    if schema != SIM_SCHEMA {
-        return Err(format!("unknown schema {schema:?}"));
-    }
-    let rows = doc
-        .field("rows")
-        .and_then(crate::json::Value::as_array)
-        .ok_or("missing rows array")?;
-    rows.iter()
-        .map(|row| {
-            row.as_object().ok_or("row must be an object")?;
-            let str_field = |k: &str| -> Result<String, String> {
-                row.field_str(k)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("row missing string field {k:?}"))
-            };
-            let num_field = |k: &str| -> Result<f64, String> {
-                row.field_f64(k)
-                    .ok_or_else(|| format!("row missing numeric field {k:?}"))
-            };
-            Ok(ThroughputRow {
-                scenario: str_field("scenario")?,
-                n: num_field("n")? as usize,
-                f: num_field("f")? as usize,
-                events: num_field("events")? as u64,
-                messages: num_field("messages")? as u64,
-                peak_queue: num_field("peak_queue")? as u64,
-                queue_bytes: num_field("queue_bytes")? as u64,
-                drops_at_enqueue: num_field("drops_at_enqueue")? as u64,
-                wall_ns: num_field("wall_ns")? as u64,
-                events_per_sec: num_field("events_per_sec")?,
-                verify_macs: num_field("verify_macs")? as u64,
-                verify_hits: num_field("verify_hits")? as u64,
-                reps: num_field("reps")? as u32,
-            })
-        })
-        .collect()
-}
-
-/// Compares a fresh measurement against the committed baseline: every
-/// baseline scenario must still exist and must not have regressed by more
-/// than `factor` in events/sec. Returns the failures (empty = pass).
-pub fn regressions(
-    baseline: &[ThroughputRow],
-    fresh: &[ThroughputRow],
-    factor: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if baseline.len() < 4 {
-        failures.push(format!(
-            "baseline has {} rows; expected at least 4",
-            baseline.len()
-        ));
-    }
-    for b in baseline {
-        match fresh.iter().find(|r| r.scenario == b.scenario) {
-            None => failures.push(format!("scenario {:?} missing from fresh run", b.scenario)),
-            Some(r) if r.events_per_sec * factor < b.events_per_sec => failures.push(format!(
-                "{}: {:.0} ev/s is a >{:.0}x regression from baseline {:.0} ev/s",
-                r.scenario, r.events_per_sec, factor, b.events_per_sec
-            )),
-            Some(_) => {}
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,14 +307,26 @@ mod tests {
             measure("flood_n8_again", &canonical("flood", 8, 2), 1),
         ];
         let text = render_json(&rows, "test");
-        let parsed = parse_json(&text).expect("parses");
+        let doc = crate::json::parse(&text).expect("parses");
+        let parsed = doc.field("rows").and_then(|r| r.as_array()).expect("rows");
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].scenario, "flood_n8");
-        assert_eq!(parsed[0].events, rows[0].events);
-        assert_eq!(parsed[0].messages, rows[0].messages);
-        assert_eq!(parsed[0].wall_ns, rows[0].wall_ns);
-        assert_eq!(parsed[0].verify_macs, rows[0].verify_macs);
-        assert_eq!(parsed[0].verify_hits, rows[0].verify_hits);
+        assert_eq!(parsed[0].field_str("scenario"), Some("flood_n8"));
+        for (col, want) in [
+            ("events", rows[0].events),
+            ("messages", rows[0].messages),
+            ("wall_ns", rows[0].wall_ns),
+            ("verify_macs", rows[0].verify_macs),
+            ("verify_hits", rows[0].verify_hits),
+        ] {
+            assert_eq!(parsed[0].field_u64(col), Some(want), "{col}");
+        }
+    }
+
+    #[test]
+    fn queue_rows_drive_the_event_queue_alone() {
+        let row = queue_row("q", 10_000, 1, 1);
+        assert_eq!(row.events, 10_000);
+        assert!(row.reps >= 1 && row.events_per_sec > 0.0);
     }
 
     #[test]
@@ -398,31 +361,48 @@ mod tests {
             verify_hits: 0,
             reps: 1,
         };
-        let baseline = vec![
-            mk("a", 3000.0),
-            mk("b", 3000.0),
-            mk("c", 3000.0),
-            mk("d", 3000.0),
-        ];
-        let fresh = vec![
-            mk("a", 2900.0), // fine
-            mk("b", 900.0),  // >3x slower
-            mk("c", 1001.0), // just inside 3x
-        ];
-        let fails = regressions(&baseline, &fresh, 3.0);
-        assert_eq!(fails.len(), 2, "{fails:?}");
-        assert!(fails.iter().any(|m| m.contains("\"d\" missing")));
-        assert!(fails.iter().any(|m| m.starts_with("b:")));
+        let doc = |rows: &[(&str, f64)]| {
+            let rows: Vec<ThroughputRow> = rows.iter().map(|&(s, eps)| mk(s, eps)).collect();
+            render_json(&rows, "test")
+        };
+        let gate = crate::diff::gate;
+        let baseline = doc(&[
+            ("a", 3000.0),
+            ("b", 3000.0),
+            ("c", 3000.0),
+            ("d", 3000.0),
+            ("e", 3000.0),
+        ]);
+        let fine = [("a", 2900.0), ("b", 3000.0), ("c", 1001.0), ("d", 3000.0)];
+        // "c" is just inside 3x.
+        gate(
+            &doc(&[fine.as_slice(), &[("e", 3000.0)]].concat()),
+            Some(&baseline),
+        )
+        .expect("noise and a just-inside-3x row pass");
+        let err = gate(&doc(&fine), Some(&baseline)).unwrap_err();
+        assert!(
+            err.contains("[scenario=e] has no fresh counterpart"),
+            "{err}"
+        );
+        let slow = [fine.as_slice(), &[("e", 900.0)]].concat(); // >3x slower
+        let err = gate(&doc(&slow), Some(&baseline)).unwrap_err();
+        assert!(err.contains("[scenario=e] events_per_sec"), "{err}");
+        let err = gate(&doc(&fine[..3]), Some(&baseline)).unwrap_err();
+        assert!(err.contains("3 rows; need at least 4"), "{err}");
     }
 
     #[test]
     fn malformed_json_rejected() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"schema\": \"wrong\", \"rows\": []}").is_err());
-        assert!(parse_json("{\"schema\": \"gcl-bench/sim-throughput/v2\"}").is_err());
+        let gate = |doc: &str| crate::diff::gate(doc, None);
+        assert!(gate("{").unwrap_err().contains("malformed JSON"));
+        assert!(gate("{\"schema\": \"wrong\", \"rows\": []}").is_err());
+        let no_rows = format!("{{\"schema\": \"{}\"}}", crate::diff::SIM.tag);
+        assert!(gate(&no_rows).unwrap_err().contains("missing rows array"));
         // v1 documents (no queue_bytes / drops_at_enqueue) are rejected
         // by the schema tag, not by a field-level error.
-        assert!(parse_json("{\"schema\": \"gcl-bench/sim-throughput/v1\", \"rows\": []}").is_err());
+        let err = gate("{\"schema\": \"gcl-bench/sim-throughput/v1\", \"rows\": []}").unwrap_err();
+        assert!(err.contains("unknown trajectory schema"), "{err}");
     }
 
     #[test]
